@@ -42,38 +42,13 @@ def aitken_sweep(s: np.ndarray) -> np.ndarray:
     return s2 - correction
 
 
-def shanks_limit(seq, max_sweeps: int | None = None) -> tuple[float, float]:
-    """Iterated Aitken estimate of the limit and a two-sided error gauge.
-
-    The error estimate combines the Cauchy gap at the deepest sweep with
-    the change of the tail value across the last two sweeps, so it stays
-    honest when the transform stalls.
-    """
-    s = np.asarray(seq, dtype=float)
-    if s.size == 0:
-        raise ValueError("empty sequence")
-    if s.size < 3:
-        est = float(s[-1])
-        err = float(abs(s[-1] - s[0])) if s.size == 2 else float("inf")
-        return est, err
-    tails = [float(s[-1])]
-    gaps = [abs(float(s[-1] - s[-2]))]
-    sweeps = max_sweeps if max_sweeps is not None else (s.size - 1) // 2
-    for _ in range(sweeps):
-        if s.size < 3:
-            break
-        s = aitken_sweep(s)
-        tails.append(float(s[-1]))
-        gaps.append(abs(float(s[-1] - s[-2])) if s.size >= 2 else gaps[-1])
-    est = tails[-1]
-    err = gaps[-1]
-    if len(tails) >= 2:
-        err = max(err, abs(tails[-1] - tails[-2]))
-    return est, float(err)
-
-
 def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
-    """Columnwise iterated Aitken: limits and error gauges per column."""
+    """Columnwise iterated Aitken: limits and two-sided error gauges.
+
+    Each column's error estimate combines the Cauchy gap at the deepest
+    sweep with the change of the tail value across the last two sweeps,
+    so it stays honest when the transform stalls.
+    """
     s = np.asarray(matrix, dtype=float)
     if s.ndim != 2 or s.shape[0] == 0:
         raise ValueError("need a nonempty 2-D array")
@@ -94,6 +69,12 @@ def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
         sweep_change = np.abs(tail - prev_tail)
         prev_tail = tail.copy()
     return prev_tail, np.maximum(gap, sweep_change)
+
+
+def shanks_limit(seq, max_sweeps: int | None = None) -> tuple[float, float]:
+    """``shanks_columns`` on a 1-D sequence: (limit, error gauge)."""
+    est, err = shanks_columns(np.asarray(seq, dtype=float)[:, None], max_sweeps)
+    return float(est[0]), float(err[0])
 
 
 _SERIES_WINDOW = 128

@@ -28,6 +28,7 @@ from .integrator import (
     IntegratorConfig,
     integrate_auto,
 )
+from .partition import EvaluatorDomainError
 
 __all__ = [
     "Rectangle",
@@ -407,6 +408,25 @@ def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConf
     return evaluator
 
 
+def _window_side(
+    fn: Callable, interval: ClosedInterval, cfg: IntegratorConfig, what: str
+) -> tuple[IntegralResult, str]:
+    """Integrate one window side whose integrand is NaN where ``what``
+    (an inner integral or a pointwise limit) did not resolve.
+
+    A NaN reaching a tag ends the side INCONCLUSIVE and the returned
+    note names the point ("" otherwise); an evaluator that raises still
+    propagates.
+    """
+    try:
+        return integrate_auto(fn, interval, cfg), ""
+    except EvaluatorDomainError as exc:
+        if exc.tag is None:
+            raise
+        note = f"{what} unresolved at {exc.tag!r}"
+        return IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note), note
+
+
 def _integral_sides_for_window(
     h: Callable,
     rect: Rectangle,
@@ -417,7 +437,6 @@ def _integral_sides_for_window(
     y_lo, y_hi = rect.y_interval.lo, rect.y_interval.hi
     inner_tol = cfg.tol / 32.0
     outer_cfg = cfg.with_(tol=cfg.tol / 2.0)
-    detail = ""
 
     if rect.y_interval.is_bounded:
         lhs_fn = _NestedSide(h, y_lo.value, y_hi.value, inner_tol, swap=False)
@@ -430,12 +449,12 @@ def _integral_sides_for_window(
         if note:
             nan = IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note)
             return nan, nan, note
-    lhs = integrate_auto(lhs_fn, window.interval(), outer_cfg)
+    lhs, lhs_note = _window_side(lhs_fn, window.interval(), outer_cfg, "lhs inner integral")
 
     rhs_inner = _NestedSide(h, window.s, window.t, inner_tol, swap=True)
     rhs_cfg = outer_cfg.with_(singular_points=())
-    rhs = integrate_auto(rhs_inner, rect.y_interval, rhs_cfg)
-    return lhs, rhs, detail
+    rhs, rhs_note = _window_side(rhs_inner, rect.y_interval, rhs_cfg, "rhs inner integral")
+    return lhs, rhs, "; ".join(n for n in (lhs_note, rhs_note) if n)
 
 
 def _probe_points(lo: float, hi: float) -> np.ndarray:
@@ -847,7 +866,7 @@ def interchange_sum_integral(
     comps = []
     unstable_windows = 0
     for win in wins:
-        lhs = integrate_auto(limit_fn, win.interval(), lhs_cfg)
+        lhs, lhs_note = _window_side(limit_fn, win.interval(), lhs_cfg, "series limit")
         rhs_half = 0.0
         rhs_full = 0.0
         statuses = []
@@ -884,6 +903,7 @@ def interchange_sum_integral(
             (),
         )
         gap, verdict, detail = _window_verdict(lhs, rhs, cfg.tol)
+        detail = lhs_note or detail
         if not tail_stable and verdict is not InterchangeVerdict.INCONCLUSIVE:
             unstable_windows += 1
             verdict = InterchangeVerdict.INCONCLUSIVE

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from importlib import resources
 from typing import Callable, Optional, Sequence
@@ -89,6 +90,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads any token starting with '-' as a flag unless it
+        # looks like a negative number; count -inf and exponents as
+        # numbers too, so 'improper f x -inf inf' parses.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d*\.?\d+(e[-+]?\d+)?|inf)$", re.IGNORECASE
+        )
+
     # argparse exits 2 on usage errors; the documented convention
     # reserves 2 for DIVERGED/FAILS, so remap to 1.
     def error(self, message):
@@ -449,7 +459,7 @@ def cmd_partition(args) -> int:
     if args.gauge is not None:
         gauge = cfg.gauge_override
     else:
-        lo, hi = target.float_bounds()
+        lo, hi = target.lo.as_float(), target.hi.as_float()
         span = hi - lo if math.isfinite(hi - lo) else 8.0
         gauge = uniform_gauge(max(span, 1e-12) / 8.0)
     part = cousin_fine_partition(

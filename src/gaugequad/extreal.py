@@ -18,8 +18,6 @@ __all__ = [
     "ClosedInterval",
     "OpenInterval",
     "DegenerateIntervalError",
-    "length",
-    "open_contains",
     "closed_subset_of_open",
 ]
 
@@ -214,10 +212,6 @@ class OpenInterval:
         raise AttributeError("OpenInterval is immutable")
 
     @classmethod
-    def bounded(cls, lo: ExtRealLike, hi: ExtRealLike) -> "OpenInterval":
-        return cls(lo, hi)
-
-    @classmethod
     def ray_below(cls, hi: ExtRealLike) -> "OpenInterval":
         """[-oo, hi): the neighborhoods of -oo."""
         return cls(NEG_INF, hi, includes_neg_inf=True)
@@ -227,10 +221,6 @@ class OpenInterval:
         """(lo, +oo]: the neighborhoods of +oo."""
         return cls(lo, POS_INF, includes_pos_inf=True)
 
-    @classmethod
-    def full_line(cls) -> "OpenInterval":
-        return cls(NEG_INF, POS_INF, includes_neg_inf=True, includes_pos_inf=True)
-
     def contains(self, x: ExtRealLike) -> bool:
         x = ext(x)
         if x == NEG_INF:
@@ -238,16 +228,6 @@ class OpenInterval:
         if x == POS_INF:
             return self.includes_pos_inf
         return self.lo < x < self.hi
-
-    def intersect(self, other: "OpenInterval") -> "OpenInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return OpenInterval(
-            lo,
-            hi,
-            includes_neg_inf=self.includes_neg_inf and other.includes_neg_inf,
-            includes_pos_inf=self.includes_pos_inf and other.includes_pos_inf,
-        )
 
     def float_bounds(self) -> tuple[float, float]:
         """(lo, hi) as floats with the ends mapped to +-math.inf.
@@ -278,16 +258,6 @@ class OpenInterval:
         left = "[" if self.includes_neg_inf else "("
         right = "]" if self.includes_pos_inf else ")"
         return f"OpenInterval{left}{self.lo}, {self.hi}{right}"
-
-
-def length(interval: ClosedInterval) -> float:
-    """Length of a closed interval; unbounded intervals measure 0."""
-    return interval.length()
-
-
-def open_contains(interval: OpenInterval, x: ExtRealLike) -> bool:
-    """Membership of a compactified-line point in an open interval."""
-    return interval.contains(x)
 
 
 def closed_subset_of_open(c: ClosedInterval, o: OpenInterval) -> bool:

@@ -8,22 +8,22 @@ widths, windows pinched quadratically near singular points, and windows
 shrunk geometrically along an enumeration (the mechanism that makes
 indicator functions of countable sets integrate to zero).
 
-Scalar ``assign`` is the contract; ``windows`` is a vectorized view of
-the same mapping over arrays of finite points, used by the partitioner.
+A gauge is one vectorized window map over arrays of finite points plus
+the two rays [-oo, neg_ray) and (pos_ray, +oo] at the ends; the scalar
+``assign`` is derived from them once, on the class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .extreal import (
     NEG_INF,
     POS_INF,
-    ClosedInterval,
-    ExtReal,
+    ExtRealLike,
     OpenInterval,
     closed_subset_of_open,
     ext,
@@ -49,11 +49,16 @@ _WindowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class Gauge:
-    """A neighborhood assignment together with a vectorized fast path."""
+    """A vectorized window map on finite points plus the rays at the ends.
 
-    assign: Callable[[ExtReal], OpenInterval]
+    The window at -oo is [-oo, neg_ray) and the window at +oo is
+    (pos_ray, +oo]; both bounds are finite floats.
+    """
+
+    window_fn: _WindowFn = field(repr=False)
+    neg_ray: float
+    pos_ray: float
     description: str = ""
-    window_fn: Optional[_WindowFn] = field(default=None, repr=False)
 
     def windows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) float arrays of the windows at finite points z.
@@ -61,32 +66,23 @@ class Gauge:
         Infinite window endpoints come back as float +-inf; membership
         of a finite point is then the strict comparison lo < x < hi.
         """
-        z = np.asarray(z, dtype=float)
-        if self.window_fn is not None:
-            return self.window_fn(z)
-        lo = np.empty_like(z)
-        hi = np.empty_like(z)
-        flat_lo, flat_hi = lo.ravel(), hi.ravel()
-        for i, x in enumerate(z.ravel()):
-            w = self.assign(ExtReal(float(x)))
-            flat_lo[i], flat_hi[i] = w.float_bounds()
-        return lo, hi
+        return self.window_fn(np.asarray(z, dtype=float))
 
-
-def _strict_bounds(x: float, half: float) -> tuple[float, float]:
-    # Guard against float collapse: the window must contain x strictly.
-    lo = x - half
-    hi = x + half
-    if not lo < x:
-        lo = math.nextafter(x, -math.inf)
-    if not x < hi:
-        hi = math.nextafter(x, math.inf)
-    return lo, hi
+    def assign(self, x: ExtRealLike) -> OpenInterval:
+        """The window of one point of the compactified line."""
+        x = ext(x)
+        if x == NEG_INF:
+            return OpenInterval.ray_below(self.neg_ray)
+        if x == POS_INF:
+            return OpenInterval.ray_above(self.pos_ray)
+        lo, hi = self.windows(np.array([x.value]))
+        return OpenInterval(float(lo[0]), float(hi[0]))
 
 
 def _strict_bounds_array(
     z: np.ndarray, half: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    # Guard against float collapse: the window must contain z strictly.
     lo = z - half
     hi = z + half
     bad_lo = ~(lo < z)
@@ -112,19 +108,11 @@ def uniform_gauge(delta: float, tail_cutoff: float = 1e6) -> Gauge:
         raise ValueError(f"tail_cutoff must be positive finite, got {tail_cutoff}")
     half = delta / 2.0
 
-    def assign(x: ExtReal) -> OpenInterval:
-        x = ext(x)
-        if x == NEG_INF:
-            return OpenInterval.ray_below(-tail_cutoff)
-        if x == POS_INF:
-            return OpenInterval.ray_above(tail_cutoff)
-        lo, hi = _strict_bounds(x.value, half)
-        return OpenInterval(lo, hi)
-
     def window_fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _strict_bounds_array(z, np.full_like(z, half))
 
-    return Gauge(assign, f"uniform(delta={delta:g}, tail={tail_cutoff:g})", window_fn)
+    desc = f"uniform(delta={delta:g}, tail={tail_cutoff:g})"
+    return Gauge(window_fn, -tail_cutoff, tail_cutoff, desc)
 
 
 def singularity_gauge(
@@ -147,23 +135,6 @@ def singularity_gauge(
         raise ValueError(f"sharpness must be positive finite, got {sharpness}")
     pts_arr = np.array(sorted(set(pts)), dtype=float)
 
-    def assign(x: ExtReal) -> OpenInterval:
-        x = ext(x)
-        w = base.assign(x)
-        if not x.is_finite:
-            return w
-        xv = x.value
-        d = min(abs(xv - p) for p in pts_arr)
-        if d == 0.0:
-            return w
-        half = max(sharpness * d * d, _FLOOR_SCALE * max(abs(xv), 1.0))
-        lo, hi = _strict_bounds(xv, half)
-        blo, bhi = w.float_bounds()
-        return OpenInterval(
-            ext(max(blo, lo)) if math.isfinite(max(blo, lo)) else NEG_INF,
-            ext(min(bhi, hi)) if math.isfinite(min(bhi, hi)) else POS_INF,
-        )
-
     def window_fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         blo, bhi = base.windows(z)
         d = np.abs(z - pts_arr[0])
@@ -177,7 +148,7 @@ def singularity_gauge(
         return lo, hi
 
     desc = f"singularity(points={list(pts_arr)}, sharpness={sharpness:g}) over {base.description}"
-    return Gauge(assign, desc, window_fn)
+    return Gauge(window_fn, base.neg_ray, base.pos_ray, desc)
 
 
 def enumeration_gauge(
@@ -248,23 +219,6 @@ def enumeration_gauge(
         k[hit] = sorted_first[idx[hit]]
         return k
 
-    def assign(x: ExtReal) -> OpenInterval:
-        x = ext(x)
-        w = base.assign(x)
-        if not x.is_finite:
-            return w
-        xv = x.value
-        k = _lookup(np.array([xv]))[0]
-        if k < 0:
-            return w
-        half = float(_half_for_index(np.array([k]), np.array([xv]))[0])
-        lo, hi = _strict_bounds(xv, half)
-        blo, bhi = w.float_bounds()
-        return OpenInterval(
-            ext(max(blo, lo)) if math.isfinite(max(blo, lo)) else NEG_INF,
-            ext(min(bhi, hi)) if math.isfinite(min(bhi, hi)) else POS_INF,
-        )
-
     def window_fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         blo, bhi = base.windows(z)
         k = _lookup(z)
@@ -282,21 +236,19 @@ def enumeration_gauge(
     desc = (
         f"enumeration(n={len(vals)}, epsilon={epsilon:g}) over {base.description}"
     )
-    return Gauge(assign, desc, window_fn)
+    return Gauge(window_fn, base.neg_ray, base.pos_ray, desc)
 
 
 def intersect_gauges(g1: Gauge, g2: Gauge) -> Gauge:
     """Pointwise intersection; fine for the result means fine for both."""
-
-    def assign(x: ExtReal) -> OpenInterval:
-        return g1.assign(x).intersect(g2.assign(x))
 
     def window_fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo1, hi1 = g1.windows(z)
         lo2, hi2 = g2.windows(z)
         return np.maximum(lo1, lo2), np.minimum(hi1, hi2)
 
-    return Gauge(assign, f"({g1.description}) & ({g2.description})", window_fn)
+    desc = f"({g1.description}) & ({g2.description})"
+    return Gauge(window_fn, min(g1.neg_ray, g2.neg_ray), max(g1.pos_ray, g2.pos_ray), desc)
 
 
 def is_fine(partition, gauge: Gauge) -> bool:

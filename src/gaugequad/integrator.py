@@ -24,17 +24,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .accel import shanks_limit, window_oscillation
-from .extreal import NEG_INF, POS_INF, ClosedInterval, ExtReal, OpenInterval, ext
+from .extreal import NEG_INF, POS_INF, ClosedInterval
 from .gauge import Gauge, intersect_gauges, singularity_gauge, uniform_gauge
 from .partition import (
     DEFAULT_MAX_CELLS,
     CellBudgetExceeded,
     EvaluatorDomainError,
-    TaggedPartition,
     _carve_ends,
-    cousin_fine_partition,
     refine_fine_cells,
-    riemann_sum,
 )
 
 __all__ = [
@@ -499,21 +496,11 @@ def _compact_batch_sums(
 def _reflect_gauge(g: Gauge) -> Gauge:
     """The gauge seen through u -> -u, for left-side exhaustion runs."""
 
-    def assign(x: float) -> OpenInterval:
-        w = g.assign(-x)
-        lo_f, hi_f = w.float_bounds()
-        return OpenInterval(
-            ext(-hi_f) if math.isfinite(hi_f) else NEG_INF,
-            ext(-lo_f) if math.isfinite(lo_f) else POS_INF,
-            includes_neg_inf=w.includes_pos_inf,
-            includes_pos_inf=w.includes_neg_inf,
-        )
-
     def windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo2, hi2 = g.windows(-np.asarray(z, dtype=float))
         return -hi2, -lo2
 
-    return Gauge(assign, f"reflection of ({g.description})", window_fn=windows)
+    return Gauge(windows, -g.pos_ray, -g.neg_ray, f"reflection of ({g.description})")
 
 
 def _lobe_slab(

@@ -187,12 +187,7 @@ def _carve_ends(
     hi_f: float
     c1 = None
     if target.lo == NEG_INF:
-        w = gauge.assign(NEG_INF)
-        if not w.includes_neg_inf:
-            raise ValueError("gauge window at -inf does not adjoin -inf")
-        b = w.hi.as_float()
-        th = target.hi.as_float()
-        bound = min(b, th)
+        bound = min(gauge.neg_ray, target.hi.as_float())
         if not math.isfinite(bound):
             bound = 0.0
         step = max(1.0, 8.0 * eps * abs(bound))
@@ -202,12 +197,7 @@ def _carve_ends(
     else:
         lo_f = target.lo.value
     if target.hi == POS_INF:
-        w = gauge.assign(POS_INF)
-        if not w.includes_pos_inf:
-            raise ValueError("gauge window at +inf does not adjoin +inf")
-        a = w.lo.as_float()
-        tl = target.lo.as_float()
-        bound = max(a, tl)
+        bound = max(gauge.pos_ray, target.lo.as_float())
         if not math.isfinite(bound):
             bound = 0.0
         step = max(1.0, 8.0 * eps * abs(bound))

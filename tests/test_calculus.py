@@ -18,6 +18,7 @@ from gaugequad import (
     interchange_sum_integral,
     numeric_derivative,
 )
+from gaugequad import calculus
 
 UNIT = ClosedInterval(0.0, 1.0)
 UNIT_RECT = Rectangle(UNIT, UNIT)
@@ -251,6 +252,37 @@ def test_series_accepts_a_finite_term_sequence():
         cfg=IntegratorConfig(tol=1e-5),
     )
     assert rep.overall is InterchangeVerdict.HOLDS_ON_SAMPLES
+
+
+def test_series_unresolved_limit_is_inconclusive(monkeypatch):
+    # Above 0.25 the partial sums grow without bound, so the pointwise
+    # limit stays unresolved at the (lowered) cap: the window must end
+    # INCONCLUSIVE and name the limit instead of raising.
+    monkeypatch.setattr(calculus, "_SERIES_CAP", 1 << 9)
+    rep = interchange_sum_integral(
+        lambda n: (lambda x: np.maximum(x - 0.25, 0.0)),
+        UNIT,
+        windows=[Window(0.0, 1.0)],
+        n_max=4,
+    )
+    assert rep.overall is InterchangeVerdict.INCONCLUSIVE
+    w = rep.windows[0]
+    assert w.verdict is InterchangeVerdict.INCONCLUSIVE
+    assert w.detail.startswith("series limit unresolved at ")
+    assert w.rhs == pytest.approx(4 * 0.75**2 / 2)
+
+
+def test_iterated_unresolved_inner_integral_is_inconclusive(monkeypatch):
+    # int_0^1 dy / y never settles, so every outer tag of the left side
+    # sees an unresolved inner integral.
+    monkeypatch.setattr(calculus, "_INNER_CELL_CAP", 32)
+    rep = interchange_iterated(
+        lambda x, y: 1.0 / y, UNIT_RECT, windows=[Window(0.0, 1.0)], xs=[]
+    )
+    w = rep.windows[0]
+    assert rep.overall is InterchangeVerdict.INCONCLUSIVE
+    assert w.verdict is InterchangeVerdict.INCONCLUSIVE
+    assert w.detail.startswith("lhs inner integral unresolved at ")
 
 
 def test_series_n_max_validation():

@@ -176,6 +176,28 @@ def test_partition_json_infinite_target():
     assert payload["result"]["cells"][-1]["hi"] == "inf"
 
 
+def test_partition_default_gauge():
+    code, payload, _ = run_json("partition", "0", "1")
+    assert code == 0
+    assert payload["result"]["fine"] is True
+    assert payload["result"]["violations"] == []
+
+
+def test_negative_infinite_endpoint_is_not_a_flag():
+    code, payload, _ = run_json("improper", "exp(-x^2)", "x", "-inf", "inf")
+    assert code == 0
+    assert payload["inputs"]["lo"] == "-inf"
+    assert abs(payload["result"]["value"] - math.sqrt(math.pi)) < 1e-6
+    code, payload, _ = run_json("partition", "-inf", "inf", "--gauge", "uniform:0.5,8")
+    assert code == 0
+    cells = payload["result"]["cells"]
+    assert cells[0]["lo"] == "-inf" and cells[-1]["hi"] == "inf"
+    assert payload["result"]["fine"] is True
+    code, payload, _ = run_json("integrate", "x^2", "x", "-1e0", "0")
+    assert code == 0
+    assert payload["inputs"]["lo"] == -1.0
+
+
 def test_corpus_list_json():
     code, payload, _ = run_json("corpus", "list")
     assert code == 0

@@ -14,7 +14,7 @@ from gaugequad import (
     OpenInterval,
     ext,
 )
-from gaugequad.extreal import closed_subset_of_open, length, open_contains
+from gaugequad.extreal import closed_subset_of_open
 
 
 def test_ext_coerces_floats_and_infinities():
@@ -84,7 +84,7 @@ def test_length_conventions():
     # improper limits into ordinary Riemann sums.
     assert ClosedInterval(0.0, math.inf).length() == 0.0
     assert ClosedInterval(-math.inf, math.inf).length() == 0.0
-    assert length(ClosedInterval(-math.inf, 3.0)) == 0.0
+    assert ClosedInterval(-math.inf, 3.0).length() == 0.0
 
 
 def test_contains_includes_endpoints():
@@ -104,20 +104,20 @@ def test_closed_interval_equality_and_hash():
 
 def test_open_interval_membership_is_strict():
     w = OpenInterval(ext(0.0), ext(1.0))
-    assert open_contains(w, 0.5)
-    assert not open_contains(w, 0.0)
-    assert not open_contains(w, 1.0)
+    assert w.contains(0.5)
+    assert not w.contains(0.0)
+    assert not w.contains(1.0)
 
 
 def test_open_interval_containing_infinite_ends():
     # A gauge window at +inf is a ray (c, +inf]; the end itself belongs
     # only through the explicit flag, never by the lo < x < hi rule.
     ray = OpenInterval.ray_above(1e6)
-    assert open_contains(ray, POS_INF)
-    assert open_contains(ray, 2e6)
-    assert not open_contains(ray, 1e6)
+    assert ray.contains(POS_INF)
+    assert ray.contains(2e6)
+    assert not ray.contains(1e6)
     plain = OpenInterval(ext(1e6), POS_INF)
-    assert not open_contains(plain, POS_INF)
+    assert not plain.contains(POS_INF)
     with pytest.raises(ValueError):
         OpenInterval(ext(0.0), ext(1.0), includes_pos_inf=True)
 

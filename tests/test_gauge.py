@@ -9,6 +9,8 @@ from gaugequad import (
     NEG_INF,
     POS_INF,
     ClosedInterval,
+    Gauge,
+    OpenInterval,
     TaggedPartition,
     enumeration_gauge,
     ext,
@@ -18,6 +20,7 @@ from gaugequad import (
     singularity_gauge,
     uniform_gauge,
 )
+from gaugequad.integrator import _reflect_gauge
 
 finite = st.floats(-1e5, 1e5)
 
@@ -186,6 +189,47 @@ def test_intersect_gauges_is_pointwise_intersection(x, d1, d2):
     assert hi == min(hi1, hi2)
     lo_v, hi_v = gi.windows(np.array([x]))
     assert lo_v[0] == lo and hi_v[0] == hi
+
+
+END_RAY_CASES = {
+    "uniform": (lambda: uniform_gauge(0.5, tail_cutoff=100.0), -100.0, 100.0),
+    "singularity": (
+        lambda: singularity_gauge(uniform_gauge(1.0, 50.0), [0.0, 3.0], 0.5),
+        -50.0,
+        50.0,
+    ),
+    "enumeration": (
+        lambda: enumeration_gauge([0.5, 0.25], 1e-2, base=uniform_gauge(0.25, 20.0)),
+        -20.0,
+        20.0,
+    ),
+    "intersect": (
+        lambda: intersect_gauges(uniform_gauge(1.0, 30.0), uniform_gauge(2.0, 70.0)),
+        -70.0,
+        70.0,
+    ),
+    "reflection": (
+        lambda: _reflect_gauge(singularity_gauge(uniform_gauge(1.0, 40.0), [2.0], 0.5)),
+        -40.0,
+        40.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(END_RAY_CASES))
+def test_end_rays(kind):
+    make, below, above = END_RAY_CASES[kind]
+    g = make()
+    assert g.assign(NEG_INF) == OpenInterval.ray_below(below)
+    assert g.assign(POS_INF) == OpenInterval.ray_above(above)
+    if kind == "reflection":
+        for x in (-2.0, -1.5, 0.0, 1.25):
+            lo_v, hi_v = g.windows(np.array([x]))
+            assert g.assign(ext(x)).float_bounds() == (lo_v[0], hi_v[0])
+        # Asymmetric rays swap sides under u -> -u.
+        lopsided = Gauge(uniform_gauge(1.0).window_fn, -3.0, 7.0)
+        assert _reflect_gauge(lopsided).assign(NEG_INF) == OpenInterval.ray_below(-7.0)
+        assert _reflect_gauge(lopsided).assign(POS_INF) == OpenInterval.ray_above(3.0)
 
 
 def test_is_fine_accepts_and_rejects():
