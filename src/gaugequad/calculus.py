@@ -26,6 +26,7 @@ from .integrator import (
     IntegralResult,
     IntegralStatus,
     IntegratorConfig,
+    _midpoint_sums,
     integrate_auto,
 )
 from .partition import EvaluatorDomainError
@@ -274,7 +275,6 @@ def _interval_or_windows(
 
 
 _INNER_CELL_CAP = 1 << 17
-_ELEM_BUDGET = 1 << 22
 
 
 def _batched_inner(
@@ -283,7 +283,6 @@ def _batched_inner(
     lo: float,
     hi: float,
     tol: float,
-    start_cells: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint-refinement integrals over [lo,hi] in the second slot,
     one per entry of us.  Returns (values, ok).
@@ -293,50 +292,25 @@ def _batched_inner(
     still moving at the cell cap come back not-ok.
     """
     us = np.asarray(us, dtype=float)
-    n = us.size
-    values = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    live = np.ones(n, dtype=bool)
-    width = hi - lo
-    prev = np.full(n, np.nan)
-    ncell = start_cells
-    level = 0
-    while True:
-        mids = lo + (np.arange(ncell) + 0.5) * (width / ncell)
-        w = width / ncell
-        idx = np.flatnonzero(live)
-        chunk = max(1, _ELEM_BUDGET // max(ncell, 1))
-        sums = np.empty(idx.size)
-        for c0 in range(0, idx.size, chunk):
-            rows = idx[c0 : c0 + chunk]
-            with np.errstate(all="ignore"):
-                mat = np.asarray(f2(us[rows, None], mids[None, :]), dtype=float)
-                mat = np.broadcast_to(mat, (rows.size, ncell)).copy()
+
+    def evaluate(rows, mids, w):
+        u = us[rows]
+        with np.errstate(all="ignore"):
+            mat = np.asarray(f2(u[:, None], mids[None, :]), dtype=float)
+            mat = np.broadcast_to(mat, (rows.size, mids.size)).copy()
+            bad = ~np.isfinite(mat)
+            for nudge in (0.25, -0.25):
+                if not bad.any():
+                    break
+                ri, ci = np.nonzero(bad)
+                mat[ri, ci] = np.asarray(f2(u[ri], mids[ci] + nudge * w), dtype=float)
                 bad = ~np.isfinite(mat)
-                for nudge in (0.25, -0.25):
-                    if not bad.any():
-                        break
-                    ri, ci = np.nonzero(bad)
-                    mat[ri, ci] = np.asarray(
-                        f2(us[rows][ri], mids[ci] + nudge * w), dtype=float
-                    )
-                    bad = ~np.isfinite(mat)
-            mat[bad] = np.nan
-            sums[c0 : c0 + chunk] = mat.sum(axis=1) * w
-        cur = values.copy()
-        cur[idx] = sums
-        if level >= 2:
-            settle = live & np.isfinite(cur) & (
-                np.abs(cur - prev) <= tol + tol * np.abs(cur)
-            )
-            ok |= settle
-            live &= ~settle
-        prev = cur
-        values = np.where(np.isfinite(cur), cur, values)
-        level += 1
-        if not live.any() or ncell >= _INNER_CELL_CAP:
-            break
-        ncell *= 2
+        mat[bad] = np.nan
+        return mat
+
+    values, _, ok, _ = _midpoint_sums(
+        evaluate, lo, hi, us.size, tol, tol, start_cells=16, max_cells=_INNER_CELL_CAP
+    )
     return values, ok
 
 
@@ -369,7 +343,6 @@ class _NestedSide:
         self.inner_hi = inner_hi
         self.inner_tol = inner_tol
         self.swap = swap
-        self.inner_failures = 0
 
     def __call__(self, us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -380,10 +353,7 @@ class _NestedSide:
         vals, ok = _batched_inner(
             f2, us, self.inner_lo, self.inner_hi, self.inner_tol
         )
-        if not ok.all():
-            self.inner_failures += int((~ok).sum())
-            vals = np.where(ok, vals, np.nan)
-        return vals
+        return np.where(ok, vals, np.nan)
 
 
 def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConfig, swap: bool):
@@ -651,45 +621,28 @@ def _pointwise_derivative_section(
         lo, hi = x_int.lo.value, x_int.hi.value
         xs = lo + (hi - lo) * np.array([0.125, 0.375, 0.625, 0.875])
     inner_tol = cfg.tol / 32.0
+    y_int = rect.y_interval
+    if y_int.is_bounded:
+        F_in, F1_in = (
+            _NestedSide(h, y_int.lo.value, y_int.hi.value, inner_tol, swap=False)
+            for h in (f, f1)
+        )
+    else:
+        F_in, F1_in = (
+            _improper_inner_side(h, y_int, cfg.with_(tol=inner_tol), swap=False)
+            for h in (f, f1)
+        )
     out = []
-    bounded_y = rect.y_interval.is_bounded
     for x in xs:
         x = float(x)
-
-        def F_of(u: float) -> float:
-            if bounded_y:
-                vals, ok = _batched_inner(
-                    f,
-                    np.array([u]),
-                    rect.y_interval.lo.value,
-                    rect.y_interval.hi.value,
-                    inner_tol,
-                )
-                return float(vals[0]) if ok[0] else math.nan
-            g = lambda v: f(np.full_like(np.asarray(v, dtype=float), u), v)
-            res = integrate_auto(g, rect.y_interval, cfg.with_(tol=inner_tol))
-            return res.value if res.status is IntegralStatus.CONVERGED else math.nan
-
         scale = (
             (x_int.hi.value - x_int.lo.value) / 256.0 if x_int.is_bounded else 1.0 / 256.0
         )
         try:
-            slope, _ = numeric_derivative(F_of, x, scale)
+            slope, _ = numeric_derivative(lambda u: float(F_in(u)[0]), x, scale)
         except ArithmeticError:
             slope = math.nan
-        if bounded_y:
-            vals, ok = _batched_inner(
-                f1,
-                np.array([x]),
-                rect.y_interval.lo.value,
-                rect.y_interval.hi.value,
-                inner_tol,
-            )
-            rhs = float(vals[0]) if ok[0] else math.nan
-        else:
-            g1 = lambda v: f1(np.full_like(np.asarray(v, dtype=float), x), v)
-            res = integrate_auto(g1, rect.y_interval, cfg.with_(tol=inner_tol))
-            rhs = res.value if res.status is IntegralStatus.CONVERGED else math.nan
+        rhs = float(F1_in(x)[0])
         gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
         out.append(PointwiseComparison(x, slope, rhs, gap))
     return tuple(out)
@@ -745,6 +698,7 @@ def interchange_iterated(
     """Compare int_s^t int_a^b g dy dx with int_a^b int_s^t g dx dy."""
     cfg = cfg or IntegratorConfig()
     wins = _interval_or_windows(rect.x_interval, windows, cfg.seed)
+    pointwise = _iterated_pointwise(g, rect, xs, cfg)
     comps = []
     for win in wins:
         lhs, rhs, detail = _integral_sides_for_window(g, rect, win, cfg)
@@ -752,7 +706,6 @@ def interchange_iterated(
         comps.append(
             WindowComparison(win, lhs.value, rhs.value, gap, verdict, detail or vdetail)
         )
-    pointwise = _iterated_pointwise(g, rect, xs, cfg)
     return InterchangeReport(
         windows=tuple(comps),
         pointwise=pointwise,
@@ -768,34 +721,40 @@ def _iterated_pointwise(
     xs: Optional[Sequence[float]],
     cfg: IntegratorConfig,
 ) -> tuple[PointwiseComparison, ...]:
-    """G(x) = int_a^b int_alpha^x g; compare G'(x) with int_a^b g(x,y) dy."""
+    """G(x) = int_a^b int_alpha^x g; compare G'(x) with int_a^b g(x,y) dy.
+
+    The stencil step shrinks so every stencil point stays in [lo, hi]
+    (G(lo) = 0); a point at an endpoint has no central stencil and gets a
+    NaN slope.  Points outside [lo, hi] raise ValueError.
+    """
     x_int = rect.x_interval
     if not x_int.is_bounded:
         return ()
     lo, hi = x_int.lo.value, x_int.hi.value
     if xs is None:
         xs = lo + (hi - lo) * np.array([0.3, 0.55, 0.8])
-    inner_tol = cfg.tol / 32.0
+    xs = [float(x) for x in xs]
+    outside = [x for x in xs if not lo <= x <= hi]
+    if outside:
+        raise ValueError(f"pointwise x {outside[0]!r} lies outside [{lo!r}, {hi!r}]")
+    inner = _NestedSide(
+        g, rect.y_interval.lo.value, rect.y_interval.hi.value, cfg.tol / 32.0, swap=False
+    )
+
+    def big_G(u: float) -> float:
+        if u <= lo:
+            return 0.0
+        res = integrate_auto(inner, ClosedInterval(lo, min(u, hi)), cfg.with_(tol=cfg.tol / 2.0))
+        return res.value if res.status is IntegralStatus.CONVERGED else math.nan
+
     out = []
     for x in xs:
-        x = float(x)
-
-        def big_G(u: float) -> float:
-            win = Window(lo, u)
-            fn = _NestedSide(g, rect.y_interval.lo.value, rect.y_interval.hi.value,
-                             inner_tol, swap=False)
-            res = integrate_auto(fn, win.interval(), cfg.with_(tol=cfg.tol / 2.0))
-            return res.value if res.status is IntegralStatus.CONVERGED else math.nan
-
+        step = min((hi - lo) / 128.0, x - lo, hi - x)
         try:
-            slope, _ = numeric_derivative(big_G, x, (hi - lo) / 128.0)
+            slope = numeric_derivative(big_G, x, step)[0] if step > 0 else math.nan
         except ArithmeticError:
             slope = math.nan
-        vals, ok = _batched_inner(
-            g, np.array([x]), rect.y_interval.lo.value, rect.y_interval.hi.value,
-            inner_tol,
-        )
-        rhs = float(vals[0]) if ok[0] else math.nan
+        rhs = float(inner(x)[0])
         gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
         out.append(PointwiseComparison(x, slope, rhs, gap))
     return tuple(out)

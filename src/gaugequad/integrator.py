@@ -68,7 +68,8 @@ class IntegratorConfig:
     where the integrand may be undefined or wild; the gauge schedule
     pinches around them.  gauge_override, when set, is intersected with
     every gauge of the schedule (this is how a custom enumeration gauge
-    is pushed into the engine).
+    is pushed into the engine).  max_cells caps the cells of one fine
+    partition and sizes nothing else.
     """
 
     tol: float = 1e-8
@@ -424,73 +425,59 @@ def cauchy_closed_form(branch, s: float) -> float:
 # Exhaustion (cutoff-limit) evaluation
 
 
-def _compact_batch_sums(
-    fv,
-    seg_lo: np.ndarray,
-    seg_hi: np.ndarray,
-    tol_seg: float,
-    *,
-    undefined: Sequence[float] = (),
-    start_cells: int = 4,
-    max_level: int = 16,
-    elem_budget: int = 1 << 21,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Midpoint Riemann sums of many compact segments, refined together.
+_CHUNK_ELEMS = 1 << 22
 
-    Every segment is split into uniform cells tagged at midpoints (fine
-    for the matching uniform gauge); cell counts double per level until
-    the per-segment change drops below tol_seg.  Returns per-segment
-    values, the last per-segment change, and the evaluation count.
+
+def _midpoint_sums(evaluate, lo, hi, nrows, tol, rel_tol, start_cells, max_cells):
+    """Midpoint Riemann sums of nrows integrals over [lo, hi], refined together.
+
+    ``lo``/``hi`` are floats shared by every row or arrays with one entry
+    per row.  Each pass splits every live row into n uniform cells tagged
+    at their midpoints (fine for the matching uniform gauge) and calls
+    ``evaluate(rows, mids, w)`` for a ``(rows.size, n)`` matrix, NaN where
+    the integrand is undefined.  Shared bounds pass ``mids`` as one vector
+    of length n and ``w`` as a scalar, so row-independent subexpressions
+    stay length n; per-row bounds pass a ``(rows.size, n)`` matrix and a
+    width per row.  Cell counts double from ``start_cells``; a row settles
+    once |S_n - S_{n/2}| <= tol + rel_tol * |S_n| and otherwise stops at
+    ``max_cells``.  Returns (values, gaps, settled, evals).
     """
-    nseg = seg_lo.size
-    values = np.zeros(nseg)
-    gaps = np.full(nseg, math.inf)
-    active = np.ones(nseg, dtype=bool)
+    shared = np.ndim(lo) == 0
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    values = np.full(nrows, np.nan)
+    gaps = np.full(nrows, math.inf)
+    settled = np.zeros(nrows, dtype=bool)
     evals = 0
-    undef = np.array(sorted(set(float(u) for u in undefined)), dtype=float)
+    live = np.arange(nrows)
     n = start_cells
-    prev = np.full(nseg, np.nan)
-    for level in range(max_level + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+    while live.size:
+        offsets = np.arange(n) + 0.5
+        if shared:
+            w = (hi - lo) / n
+            mids = lo + offsets * w
+        # Chunks bound memory, not accuracy.
+        chunk = max(1, _CHUNK_ELEMS // n)
+        sums = np.empty(live.size)
+        for c0 in range(0, live.size, chunk):
+            rows = live[c0 : c0 + chunk]
+            if not shared:
+                w = (hi[rows] - lo[rows]) / n
+                mids = lo[rows, None] + offsets * w[:, None]
+            mat = evaluate(rows, mids, w)
+            evals += mat.size
+            sums[c0 : c0 + chunk] = mat.sum(axis=1) * w
+            del mat  # free before the next chunk is evaluated
+        gap = np.abs(sums - values[live])
+        ok = np.isfinite(sums) & (gap <= tol + rel_tol * np.abs(sums))
+        values[live] = sums
+        gaps[live] = gap
+        settled[live] = ok
+        live = live[~ok]
+        if n >= max_cells:
             break
-        if idx.size * n > elem_budget:
-            # Refine in chunks to bound memory, not accuracy.
-            chunk = max(1, elem_budget // n)
-        else:
-            chunk = idx.size
-        sums = np.empty(idx.size)
-        for s0 in range(0, idx.size, chunk):
-            sel = idx[s0 : s0 + chunk]
-            lo = seg_lo[sel]
-            w = (seg_hi[sel] - lo) / n
-            mids = lo[:, None] + (np.arange(n) + 0.5)[None, :] * w[:, None]
-            if undef.size:
-                hit = np.isin(mids, undef)
-                if hit.any():
-                    mids[hit] += 0.25 * np.broadcast_to(w[:, None], mids.shape)[hit]
-            with np.errstate(all="ignore"):
-                vals = np.asarray(fv(mids.ravel()), dtype=float)
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                t = float(mids.ravel()[np.flatnonzero(bad)[0]])
-                raise EvaluatorDomainError(
-                    f"evaluator returned a non-finite value at {t!r}", tag=t
-                )
-            evals += vals.size
-            sums[s0 : s0 + chunk] = vals.reshape(-1, n).sum(axis=1) * w
-        new_gap = np.abs(sums - prev[idx])
-        values[idx] = sums
-        gaps[idx] = new_gap
-        done = new_gap <= tol_seg
-        if level == 0:
-            done[:] = False
-        still = idx[~done]
-        active[:] = False
-        active[still] = True
-        prev[idx] = sums
         n *= 2
-    return values, gaps, evals
+    return values, gaps, settled, evals
 
 
 def _reflect_gauge(g: Gauge) -> Gauge:
@@ -505,34 +492,36 @@ def _reflect_gauge(g: Gauge) -> Gauge:
 
 def _lobe_slab(
     fv, lo: float, hi: float, max_lobes: int, samples: int = 8192
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
     """Sign-change edges of f on [lo, c] with c pulled in from hi until
     the slab holds at most max_lobes lobes.
 
     With max_lobes = samples // 8 an accepted slab is sampled at eight
     or more points per lobe, so the detected edges are trustworthy.
-    Returns (interior edges, c); an empty edge set means the slab has a
-    single sign (or none detectable) up to c.
+    Returns (interior edges, c, evaluations); an empty edge set means the
+    slab has a single sign (or none detectable) up to c.
     """
     c = hi
+    evals = 0
     for _ in range(10):
         xs = np.linspace(lo, c, samples + 1)
         mids = 0.5 * (xs[:-1] + xs[1:])
         with np.errstate(all="ignore"):
             vals = np.asarray(fv(mids), dtype=float)
+        evals += samples
         vals = np.where(np.isfinite(vals), vals, 0.0)
         sgn = np.sign(vals)
         nz = sgn != 0
         flips = np.flatnonzero(nz[:-1] & nz[1:] & (sgn[:-1] != sgn[1:]))
         if flips.size <= max_lobes:
             edges = 0.5 * (mids[flips] + mids[flips + 1])
-            return edges[(edges > lo) & (edges < c)], c
+            return edges[(edges > lo) & (edges < c)], c, evals
         cut = flips[max_lobes - 1]
         pulled = 0.5 * (mids[cut] + mids[cut + 1])
         if not pulled > lo:
             break
         c = pulled
-    return np.empty(0), c
+    return np.empty(0), c, evals
 
 
 @dataclass
@@ -551,7 +540,6 @@ def _exhaust_side(
     to_is_inf: bool,
     to_finite: Optional[float],
     cfg: IntegratorConfig,
-    undefined: Sequence[float],
 ) -> _SideOutcome:
     """Limit of int_frm^c as the cutoff c runs toward the improper end.
 
@@ -634,8 +622,8 @@ def _exhaust_side(
             total += sub.value
             boundary_sums.append(total)
         else:
-            inner, c = _lobe_slab(fv, rung_lo, c_target, max_lobes)
-            evals += 8192
+            inner, c, n = _lobe_slab(fv, rung_lo, c_target, max_lobes)
+            evals += n
             edges = np.concatenate(([rung_lo], inner, [c]))
             # Tolerance per segment: boundary sums must stay well inside
             # the requested tolerance even after thousands of segments.
@@ -651,13 +639,15 @@ def _exhaust_side(
                 # feed the divergence monitor, which needs the envelope,
                 # not the tolerance.
                 tol_seg = max(tol_seg, 0.02 * lobe_amps[-1])
-            vals, gaps, n = _compact_batch_sums(
-                fv,
+            vals, gaps, _, n = _midpoint_sums(
+                lambda rows, mids, w: _eval_checked(fv, mids.ravel()).reshape(mids.shape),
                 edges[:-1],
                 edges[1:],
+                edges.size - 1,
                 tol_seg,
-                undefined=undefined,
-                elem_budget=cfg.max_cells,
+                0.0,
+                start_cells=4,
+                max_cells=1 << 18,
             )
             evals += n
             finite_gaps = gaps[np.isfinite(gaps)]
@@ -821,7 +811,6 @@ def hake_improper(
             anchor = 0.0
     else:
         anchor = lo.value if not left else hi.value
-    undefined = _probe_undefined(fv, cfg.singular_points)
     sides: list[_SideOutcome] = []
     if right:
         sides.append(
@@ -831,7 +820,6 @@ def hake_improper(
                 hi == POS_INF,
                 hi.value if hi.is_finite else None,
                 cfg,
-                undefined,
             )
         )
     if left:
@@ -853,7 +841,6 @@ def hake_improper(
                 lo == NEG_INF,
                 -lo.value if lo.is_finite else None,
                 cfg_left,
-                [-u for u in undefined],
             )
         )
     value = sum(s.value for s in sides)

@@ -202,6 +202,30 @@ def test_iterated_smooth_kernel_holds():
     assert w.lhs == pytest.approx(math.e - 1.0, abs=1e-5)
 
 
+def test_iterated_pointwise_stencil_stays_inside_the_interval():
+    # g = 1 gives G(x) = x.  At x = 0.001 the default step (1/128) would
+    # reach below lo; it shrinks to fit, using G(0) = 0.
+    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
+    rep = interchange_iterated(one, UNIT_RECT, windows=[Window(0.0, 1.0)], xs=[0.001, 0.0, 1.0])
+    near, at_lo, at_hi = rep.pointwise
+    assert near.derivative == pytest.approx(1.0, abs=1e-9)
+    assert near.gap <= 1e-9
+    for row in (at_lo, at_hi):
+        assert math.isnan(row.derivative) and row.gap == math.inf
+        assert row.integral_value == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="1.5"):
+        interchange_iterated(one, UNIT_RECT, windows=[Window(0.0, 1.0)], xs=[1.5])
+
+
+def test_batched_inner_nudges_an_undefined_midpoint():
+    # 1/32 is a midpoint of the 16-cell level; the nudge moves that tag
+    # inside its cell, so the row still settles on the integral 1.
+    f2 = lambda u, v: np.where(v == 1.0 / 32.0, np.nan, 1.0 + 0.0 * u)
+    vals, ok = calculus._batched_inner(f2, np.array([0.3]), 0.0, 1.0, 1e-9)
+    assert ok[0]
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_iterated_fubini_counterexample_fails():
     """(x^2 - y^2)/(x^2 + y^2)^2: iterated orders give +-pi/4.
 

@@ -5,6 +5,7 @@ import pytest
 
 from gaugequad import (
     ClosedInterval,
+    EvaluatorDomainError,
     IntegralStatus,
     IntegratorConfig,
     cauchy_closed_form,
@@ -153,6 +154,32 @@ def test_hake_two_sided_gaussian():
 def test_hake_growth_diverges():
     res = hake_improper(np.exp, ClosedInterval(0.0, math.inf), IntegratorConfig(tol=1e-6))
     assert res.status is IntegralStatus.DIVERGED
+
+
+def test_hake_counts_every_evaluated_point():
+    # cos(x^2) packs more than 1024 lobes into its later rungs, so the
+    # lobe slab pulls those cutoffs in and samples the rung again.
+    sizes = []
+
+    def counted(x):
+        x = np.asarray(x, dtype=float)
+        sizes.append(x.size)
+        return np.cos(x * x)
+
+    res = hake_improper(counted, ClosedInterval(0.0, math.inf), IntegratorConfig(tol=1e-4))
+    assert res.status is IntegralStatus.CONVERGED
+    # Calls of one or two points are the vector-protocol and endpoint
+    # probes, which are not integration work.
+    assert res.evaluations == sum(n for n in sizes if n > 2)
+
+
+def test_hake_undefined_midpoint_raises_with_its_tag():
+    # 0.375 is a midpoint of the first rung's 4-cell level; exhaustion
+    # rungs never shift tags, so the evaluator's NaN surfaces as an error.
+    f = lambda x: np.where(x == 0.375, np.nan, np.exp(-x))
+    with pytest.raises(EvaluatorDomainError) as info:
+        hake_improper(f, ClosedInterval(0.0, math.inf), IntegratorConfig(tol=1e-7))
+    assert info.value.tag == 0.375
 
 
 @pytest.mark.parametrize("branch", ["sin", "cos"])
