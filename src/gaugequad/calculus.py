@@ -356,14 +356,11 @@ class _NestedSide:
         return np.where(ok, vals, np.nan)
 
 
-def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConfig, swap: bool):
+def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConfig):
     """Per-point inner integration for unbounded inner intervals."""
 
     def one(u: float) -> IntegralResult:
-        if swap:
-            g = lambda v: h(v, np.full_like(np.asarray(v, dtype=float), u))
-        else:
-            g = lambda v: h(np.full_like(np.asarray(v, dtype=float), u), v)
+        g = lambda v: h(np.full_like(np.asarray(v, dtype=float), u), v)
         return integrate_auto(g, inner, cfg)
 
     def evaluator(us):
@@ -376,6 +373,14 @@ def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConf
 
     evaluator.one = one
     return evaluator
+
+
+def _inner_side(h: Callable, y_int: ClosedInterval, inner_tol: float, cfg: IntegratorConfig):
+    """u -> int over y_int of h(u, y) dy: batched midpoint rows when y_int
+    is bounded, per-point improper integrals when it is not."""
+    if y_int.is_bounded:
+        return _NestedSide(h, y_int.lo.value, y_int.hi.value, inner_tol, swap=False)
+    return _improper_inner_side(h, y_int, cfg.with_(tol=inner_tol))
 
 
 def _window_side(
@@ -404,18 +409,12 @@ def _integral_sides_for_window(
     cfg: IntegratorConfig,
 ) -> tuple[IntegralResult, IntegralResult, str]:
     """LHS = int_s^t int_a^b h dy dx and RHS = int_a^b int_s^t h dx dy."""
-    y_lo, y_hi = rect.y_interval.lo, rect.y_interval.hi
     inner_tol = cfg.tol / 32.0
     outer_cfg = cfg.with_(tol=cfg.tol / 2.0)
 
-    if rect.y_interval.is_bounded:
-        lhs_fn = _NestedSide(h, y_lo.value, y_hi.value, inner_tol, swap=False)
-    else:
-        lhs_fn = _improper_inner_side(h, rect.y_interval, cfg.with_(tol=inner_tol), swap=False)
-        note = _inner_probe(
-            lhs_fn.one,
-            _probe_points(window.s, window.t),
-        )
+    lhs_fn = _inner_side(h, rect.y_interval, inner_tol, cfg)
+    if not rect.y_interval.is_bounded:
+        note = _inner_probe(lhs_fn.one, _probe_points(window.s, window.t))
         if note:
             nan = IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note)
             return nan, nan, note
@@ -461,6 +460,66 @@ def _overall(window_comps: Sequence[WindowComparison]) -> InterchangeVerdict:
     if any(v is InterchangeVerdict.INCONCLUSIVE for v in verdicts):
         return InterchangeVerdict.INCONCLUSIVE
     return InterchangeVerdict.HOLDS_ON_SAMPLES
+
+
+# ---------------------------------------------------------------------------
+# pointwise rows
+
+def _pointwise_rows(
+    x_int: ClosedInterval,
+    xs: Optional[Sequence[float]],
+    fractions: tuple[float, ...],
+    divisions: float,
+    F: Callable[[float, float], float],
+    integrand: Callable,
+) -> tuple[PointwiseComparison, ...]:
+    """Compare the numeric derivative of u -> F(x, u) at u = x with
+    integrand(x)[0] for each x (F may use x as the anchor of an
+    antiderivative).
+
+    xs defaults to the given fractions of a bounded x_int (no rows for an
+    unbounded one).  The stencil step is the width of x_int (1 when
+    unbounded) over ``divisions``, shrunk so every stencil point stays in
+    x_int; an endpoint has no central stencil and gets a NaN slope.  An x
+    outside x_int raises ValueError before any row is computed.
+    """
+    lo, hi = x_int.lo.as_float(), x_int.hi.as_float()
+    if xs is None:
+        if not x_int.is_bounded:
+            return ()
+        xs = lo + (hi - lo) * np.array(fractions)
+    xs = [float(x) for x in xs]
+    outside = [x for x in xs if not lo <= x <= hi]
+    if outside:
+        raise ValueError(f"pointwise x {outside[0]!r} lies outside [{lo!r}, {hi!r}]")
+    width = hi - lo if x_int.is_bounded else 1.0
+    out = []
+    for x in xs:
+        step = min(width / divisions, x - lo, hi - x)
+        try:
+            slope = numeric_derivative(lambda u: F(x, u), x, step)[0] if step > 0 else math.nan
+        except ArithmeticError:
+            slope = math.nan
+        rhs = float(integrand(x)[0])
+        gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
+        out.append(PointwiseComparison(x, slope, rhs, gap))
+    return tuple(out)
+
+
+def _segment(fn: Callable, cfg: IntegratorConfig) -> Callable[[float, float], float]:
+    """(x, u) -> the signed integral of fn from x to u, NaN unless it
+    converged: an antiderivative anchored at x whose stencil only ever
+    integrates the short segment between x and u."""
+
+    def G(x: float, u: float) -> float:
+        if u == x:
+            return 0.0
+        res = integrate_auto(fn, ClosedInterval(min(x, u), max(x, u)), cfg)
+        if res.status is not IntegralStatus.CONVERGED:
+            return math.nan
+        return res.value if u > x else -res.value
+
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +648,11 @@ def diff_under_integral(
     """
     cfg = cfg or IntegratorConfig()
     wins = _interval_or_windows(rect.x_interval, windows, cfg.seed)
+    F_in, F1_in = (_inner_side(h, rect.y_interval, cfg.tol / 32.0, cfg) for h in (f, f1))
+    pointwise = _pointwise_rows(
+        rect.x_interval, xs, (0.125, 0.375, 0.625, 0.875), 256.0,
+        lambda x, u: float(F_in(u)[0]), F1_in,
+    )
     comps = []
     for win in wins:
         lhs, rhs, detail = _integral_sides_for_window(f1, rect, win, cfg)
@@ -596,7 +660,6 @@ def diff_under_integral(
         comps.append(
             WindowComparison(win, lhs.value, rhs.value, gap, verdict, detail or vdetail)
         )
-    pointwise = _pointwise_derivative_section(f, f1, rect, xs, cfg)
     notes = [_PRESET_NOTES[preset]]
     notes.append(_second_identity_note(f, f1, rect, wins[0], cfg))
     return InterchangeReport(
@@ -605,47 +668,6 @@ def diff_under_integral(
         overall=_overall(comps),
         hypothesis_notes="; ".join(n for n in notes if n),
     )
-
-
-def _pointwise_derivative_section(
-    f: Callable,
-    f1: Callable,
-    rect: Rectangle,
-    xs: Optional[Sequence[float]],
-    cfg: IntegratorConfig,
-) -> tuple[PointwiseComparison, ...]:
-    x_int = rect.x_interval
-    if xs is None:
-        if not x_int.is_bounded:
-            return ()
-        lo, hi = x_int.lo.value, x_int.hi.value
-        xs = lo + (hi - lo) * np.array([0.125, 0.375, 0.625, 0.875])
-    inner_tol = cfg.tol / 32.0
-    y_int = rect.y_interval
-    if y_int.is_bounded:
-        F_in, F1_in = (
-            _NestedSide(h, y_int.lo.value, y_int.hi.value, inner_tol, swap=False)
-            for h in (f, f1)
-        )
-    else:
-        F_in, F1_in = (
-            _improper_inner_side(h, y_int, cfg.with_(tol=inner_tol), swap=False)
-            for h in (f, f1)
-        )
-    out = []
-    for x in xs:
-        x = float(x)
-        scale = (
-            (x_int.hi.value - x_int.lo.value) / 256.0 if x_int.is_bounded else 1.0 / 256.0
-        )
-        try:
-            slope, _ = numeric_derivative(lambda u: float(F_in(u)[0]), x, scale)
-        except ArithmeticError:
-            slope = math.nan
-        rhs = float(F1_in(x)[0])
-        gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
-        out.append(PointwiseComparison(x, slope, rhs, gap))
-    return tuple(out)
 
 
 def _second_identity_note(
@@ -698,7 +720,11 @@ def interchange_iterated(
     """Compare int_s^t int_a^b g dy dx with int_a^b int_s^t g dx dy."""
     cfg = cfg or IntegratorConfig()
     wins = _interval_or_windows(rect.x_interval, windows, cfg.seed)
-    pointwise = _iterated_pointwise(g, rect, xs, cfg)
+    inner = _inner_side(g, rect.y_interval, cfg.tol / 32.0, cfg)
+    pointwise = _pointwise_rows(
+        rect.x_interval, xs, (0.3, 0.55, 0.8), 128.0,
+        _segment(inner, cfg.with_(tol=cfg.tol / 2.0)), inner,
+    )
     comps = []
     for win in wins:
         lhs, rhs, detail = _integral_sides_for_window(g, rect, win, cfg)
@@ -713,51 +739,6 @@ def interchange_iterated(
         hypothesis_notes="iterated-integral interchange; window family size "
         + str(len(wins)),
     )
-
-
-def _iterated_pointwise(
-    g: Callable,
-    rect: Rectangle,
-    xs: Optional[Sequence[float]],
-    cfg: IntegratorConfig,
-) -> tuple[PointwiseComparison, ...]:
-    """G(x) = int_a^b int_alpha^x g; compare G'(x) with int_a^b g(x,y) dy.
-
-    The stencil step shrinks so every stencil point stays in [lo, hi]
-    (G(lo) = 0); a point at an endpoint has no central stencil and gets a
-    NaN slope.  Points outside [lo, hi] raise ValueError.
-    """
-    x_int = rect.x_interval
-    if not x_int.is_bounded:
-        return ()
-    lo, hi = x_int.lo.value, x_int.hi.value
-    if xs is None:
-        xs = lo + (hi - lo) * np.array([0.3, 0.55, 0.8])
-    xs = [float(x) for x in xs]
-    outside = [x for x in xs if not lo <= x <= hi]
-    if outside:
-        raise ValueError(f"pointwise x {outside[0]!r} lies outside [{lo!r}, {hi!r}]")
-    inner = _NestedSide(
-        g, rect.y_interval.lo.value, rect.y_interval.hi.value, cfg.tol / 32.0, swap=False
-    )
-
-    def big_G(u: float) -> float:
-        if u <= lo:
-            return 0.0
-        res = integrate_auto(inner, ClosedInterval(lo, min(u, hi)), cfg.with_(tol=cfg.tol / 2.0))
-        return res.value if res.status is IntegralStatus.CONVERGED else math.nan
-
-    out = []
-    for x in xs:
-        step = min((hi - lo) / 128.0, x - lo, hi - x)
-        try:
-            slope = numeric_derivative(big_G, x, step)[0] if step > 0 else math.nan
-        except ArithmeticError:
-            slope = math.nan
-        rhs = float(inner(x)[0])
-        gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
-        out.append(PointwiseComparison(x, slope, rhs, gap))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +853,17 @@ def interchange_sum_integral(
             )
         comps.append(WindowComparison(win, lhs.value, rhs_full, gap, verdict, detail))
 
-    pointwise = _series_pointwise(term_at, target, n_max, cfg)
+    def partial(xv):
+        xv = np.atleast_1d(np.asarray(xv, dtype=float))
+        acc = np.zeros(xv.shape)
+        for n in range(1, n_max + 1):
+            acc = acc + term_at(n, xv)
+        return acc
+
+    pointwise = _pointwise_rows(
+        target, None, (0.3, 0.55, 0.8), 128.0,
+        _segment(partial, cfg.with_(tol=cfg.tol / 4.0)), partial,
+    )
     notes = [
         f"truncation N = {n_max} with N/2 stability rule",
         f"{unstable_windows} window(s) rejected as unstable" if unstable_windows else "",
@@ -883,42 +874,3 @@ def interchange_sum_integral(
         overall=_overall(comps),
         hypothesis_notes="; ".join(n for n in notes if n),
     )
-
-
-def _series_pointwise(
-    term_at: Callable,
-    target: ClosedInterval,
-    n_max: int,
-    cfg: IntegratorConfig,
-) -> tuple[PointwiseComparison, ...]:
-    """G(x) = int_a^x S_N; compare G'(x) against S_N(x)."""
-    if not target.is_bounded:
-        return ()
-    lo, hi = target.lo.value, target.hi.value
-    xs = lo + (hi - lo) * np.array([0.3, 0.55, 0.8])
-
-    def partial(xv):
-        xv = np.atleast_1d(np.asarray(xv, dtype=float))
-        acc = np.zeros(xv.shape)
-        for n in range(1, n_max + 1):
-            acc = acc + term_at(n, xv)
-        return acc
-
-    out = []
-    for x in xs:
-        x = float(x)
-
-        def big_G(u: float) -> float:
-            if u <= lo:
-                return 0.0
-            res = integrate_auto(partial, ClosedInterval(lo, u), cfg.with_(tol=cfg.tol / 4.0))
-            return res.value if res.status is IntegralStatus.CONVERGED else math.nan
-
-        try:
-            slope, _ = numeric_derivative(big_G, x, (hi - lo) / 128.0)
-        except ArithmeticError:
-            slope = math.nan
-        rhs = float(partial(np.array([x]))[0])
-        gap = abs(slope - rhs) if math.isfinite(slope) and math.isfinite(rhs) else math.inf
-        out.append(PointwiseComparison(x, slope, rhs, gap))
-    return tuple(out)

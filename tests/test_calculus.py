@@ -173,6 +173,17 @@ def test_dui_pointwise_section_catches_a_mismatched_partial():
     assert "f itself" in rep.hypothesis_notes
 
 
+def test_dui_pointwise_x_outside_the_interval_raises():
+    with pytest.raises(ValueError, match="1.5"):
+        diff_under_integral(
+            lambda x, y: x * y,
+            lambda x, y: y + 0.0 * x,
+            UNIT_RECT,
+            windows=[Window(0.0, 1.0)],
+            xs=[1.5],
+        )
+
+
 def test_report_serialization_shapes():
     rep = diff_under_integral(
         lambda x, y: x * x * y,
@@ -248,6 +259,22 @@ def test_iterated_fubini_counterexample_fails():
     assert rep.overall is InterchangeVerdict.FAILS
     w = rep.windows[0]
     assert w.lhs > 0.7 and w.rhs < -0.7  # pi/4 and -pi/4, roughly
+    # Away from the corner, G'(x) = int_0^1 g(x,y) dy = 1/(1+x^2).
+    assert len(rep.pointwise) == 3
+    for row in rep.pointwise:
+        assert row.derivative == pytest.approx(1.0 / (1.0 + row.x**2), abs=1e-3)
+
+
+def test_iterated_unbounded_inner_interval():
+    rep = interchange_iterated(
+        lambda x, y: np.exp(-y) + 0.0 * x,
+        Rectangle(UNIT, ClosedInterval(0.0, math.inf)),
+        windows=[Window(0.0, 1.0)],
+        cfg=IntegratorConfig(tol=1e-3),
+        xs=[],
+    )
+    assert rep.overall is InterchangeVerdict.HOLDS_ON_SAMPLES
+    assert rep.windows[0].lhs == pytest.approx(1.0, abs=1e-3)
 
 
 # -- series interchange -----------------------------------------------------------
@@ -294,6 +321,22 @@ def test_series_unresolved_limit_is_inconclusive(monkeypatch):
     assert w.verdict is InterchangeVerdict.INCONCLUSIVE
     assert w.detail.startswith("series limit unresolved at ")
     assert w.rhs == pytest.approx(4 * 0.75**2 / 2)
+
+
+def test_series_pointwise_rows_of_a_step_term(monkeypatch):
+    # S_4 = 4 * 1{x > 0.25}: every row's stencil stays clear of the step,
+    # so G'(x) = 4 exactly (the limit itself is unresolved, hence the cap).
+    monkeypatch.setattr(calculus, "_SERIES_CAP", 1 << 9)
+    rep = interchange_sum_integral(
+        lambda n: (lambda x: (np.asarray(x) > 0.25).astype(float)),
+        UNIT,
+        windows=[Window(0.0, 1.0)],
+        n_max=4,
+    )
+    assert len(rep.pointwise) == 3
+    for row in rep.pointwise:
+        assert row.derivative == pytest.approx(4.0, abs=1e-9)
+        assert row.integral_value == 4.0
 
 
 def test_iterated_unresolved_inner_integral_is_inconclusive(monkeypatch):
