@@ -80,7 +80,7 @@ class Gauge:
 
 
 def _strict_bounds_array(
-    z: np.ndarray, half: np.ndarray
+    z: np.ndarray, half: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray]:
     # Guard against float collapse: the window must contain z strictly.
     lo = z - half
@@ -109,7 +109,7 @@ def uniform_gauge(delta: float, tail_cutoff: float = 1e6) -> Gauge:
     half = delta / 2.0
 
     def window_fn(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _strict_bounds_array(z, np.full_like(z, half))
+        return _strict_bounds_array(z, half)
 
     desc = f"uniform(delta={delta:g}, tail={tail_cutoff:g})"
     return Gauge(window_fn, -tail_cutoff, tail_cutoff, desc)
@@ -140,11 +140,18 @@ def singularity_gauge(
         d = np.abs(z - pts_arr[0])
         for p in pts_arr[1:]:
             np.minimum(d, np.abs(z - p), out=d)
-        half = np.maximum(sharpness * d * d, _FLOOR_SCALE * np.maximum(np.abs(z), 1.0))
-        lo, hi = _strict_bounds_array(z, half)
+        half = sharpness * d
+        half *= d
+        floor = np.abs(z)
+        np.maximum(floor, 1.0, out=floor)
+        floor *= _FLOOR_SCALE
+        lo, hi = _strict_bounds_array(z, np.maximum(half, floor, out=half))
+        np.maximum(blo, lo, out=lo)
+        np.minimum(bhi, hi, out=hi)
         at_point = d == 0.0
-        lo = np.where(at_point, blo, np.maximum(blo, lo))
-        hi = np.where(at_point, bhi, np.minimum(bhi, hi))
+        if at_point.any():
+            lo[at_point] = blo[at_point]
+            hi[at_point] = bhi[at_point]
         return lo, hi
 
     desc = f"singularity(points={list(pts_arr)}, sharpness={sharpness:g}) over {base.description}"

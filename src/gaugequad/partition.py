@@ -216,6 +216,14 @@ def _carve_ends(
     return lo_f, hi_f, end_cells
 
 
+def _reaches(gauge: Gauge, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hi and lo ends of the window at each z, or NaN (which fails
+    every comparison) where the window does not hold z."""
+    glo, ghi = gauge.windows(z)
+    holds = (glo < z) & (z < ghi)
+    return np.where(holds, ghi, np.nan), np.where(holds, glo, np.nan)
+
+
 def refine_fine_cells(
     gauge: Gauge,
     lo: float,
@@ -248,6 +256,11 @@ def refine_fine_cells(
     undef = np.array(sorted(set(float(t) for t in undefined_tags)), dtype=float)
     pend_u = np.array([lo], dtype=float)
     pend_v = np.array([hi], dtype=float)
+    # Each pending cell [u, v] carries the right reach of u's window and
+    # the left reach of v's; a split hands them to its children, so every
+    # round queries the gauge at the new midpoints only.
+    reach_r, reach_l = _reaches(gauge, np.array([lo, hi], dtype=float))
+    pend_ru, pend_lv = reach_r[:1], reach_l[1:]
     accepted = 0
     for depth in range(max_depth + 1):
         n = pend_u.size
@@ -257,59 +270,41 @@ def refine_fine_cells(
             raise CellBudgetExceeded(
                 f"partition would exceed {max_cells} cells (depth {depth})"
             )
-        next_u: list[np.ndarray] = []
-        next_v: list[np.ndarray] = []
+        children: list[tuple[np.ndarray, ...]] = []
         for start in range(0, n, chunk):
-            u = pend_u[start : start + chunk]
-            v = pend_v[start : start + chunk]
+            u, v, ru, lv = (a[start : start + chunk] for a in (pend_u, pend_v, pend_ru, pend_lv))
             m = u + 0.5 * (v - u)
             splittable = (m > u) & (m < v)
-            cand = np.stack((u, np.where(splittable, m, u), v))
-            glo, ghi = gauge.windows(cand.ravel())
-            glo = glo.reshape(cand.shape)
-            ghi = ghi.reshape(cand.shape)
-            ok = (glo < u) & (v < ghi)
-            ok[1] &= splittable
+            rm, lm = _reaches(gauge, m)
+            ok = [v < ru, splittable & (lm < u) & (v < rm), lv < u]
+            tag_u, tag_m, tag_v = u, m, v
             if undef.size:
-                is_undef = np.isin(cand, undef)
                 # Replacement tag when the candidate itself is undefined:
                 # the opposite endpoint for endpoints, the left endpoint
                 # for the midpoint (falling back to the right).
-                etag = cand.copy()
-                u_ok = ~np.isin(u, undef)
-                v_ok = ~np.isin(v, undef)
-                etag[0] = np.where(is_undef[0], v, u)
-                etag[2] = np.where(is_undef[2], u, v)
-                etag[1] = np.where(is_undef[1], np.where(u_ok, u, v), etag[1])
-                definable = np.stack(
-                    (
-                        ~is_undef[0] | v_ok,
-                        ~is_undef[1] | u_ok | v_ok,
-                        ~is_undef[2] | u_ok,
-                    )
-                )
-                ok &= definable
-            else:
-                etag = cand
+                u_ok, m_ok, v_ok = (~np.isin(z, undef) for z in (u, m, v))
+                tag_u = np.where(u_ok, u, v)
+                tag_m = np.where(m_ok, m, tag_u)
+                tag_v = np.where(v_ok, v, u)
+                either = u_ok | v_ok
+                ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
             if policy == "midpoint_first":
-                coin = rng.integers(0, 2, size=u.size)
-                first = np.where(coin == 0, 0, 2)
-                third = np.where(coin == 0, 2, 0)
-                order = np.stack((np.ones_like(first), first, third))
+                # The endpoint u is tried before v where the coin shows 0.
+                coin0 = rng.integers(0, 2, size=u.size) == 0
+                acc = ok[0] | ok[1] | ok[2]
+                pick_u = ok[0] & (coin0 | ~ok[2])
+                tags = np.where(ok[1], tag_m, np.where(pick_u, tag_u, tag_v))
             else:
-                perm = _PERMS[rng.integers(0, 6, size=u.size)]
-                order = perm.T.astype(np.int64)
-            cols = np.arange(u.size)
-            chosen = np.full(u.size, -1, dtype=np.int64)
-            for pos in range(3):
-                cidx = order[pos]
-                take = (chosen < 0) & ok[cidx, cols]
-                chosen[take] = cidx[take]
-            acc = chosen >= 0
+                ok_rows = np.stack(ok)
+                cols = np.arange(u.size)
+                chosen = np.full(u.size, -1, dtype=np.int64)
+                for cidx in _PERMS[rng.integers(0, 6, size=u.size)].T:
+                    take = (chosen < 0) & ok_rows[cidx, cols]
+                    chosen[take] = cidx[take]
+                acc = chosen >= 0
+                tags = np.choose(chosen.clip(0), (tag_u, tag_m, tag_v))
             if acc.any():
-                sel = cols[acc]
-                tags = etag[chosen[acc], sel]
-                emit(tags, u[acc], v[acc])
+                emit(tags[acc], u[acc], v[acc])
                 accepted += int(acc.sum())
             rej = ~acc
             if rej.any():
@@ -319,15 +314,12 @@ def refine_fine_cells(
                         f"cell [{u[bad]!r}, {v[bad]!r}] cannot be split further "
                         "and no candidate tag satisfies the gauge"
                     )
-                next_u.append(u[rej])
-                next_u.append(m[rej])
-                next_v.append(m[rej])
-                next_v.append(v[rej])
-        if next_u:
-            pend_u = np.concatenate(next_u)
-            pend_v = np.concatenate(next_v)
-        else:
+                mid = m[rej]
+                children.append((u[rej], mid, ru[rej], lm[rej]))
+                children.append((mid, v[rej], rm[rej], lv[rej]))
+        if not children:
             return accepted
+        pend_u, pend_v, pend_ru, pend_lv = (np.concatenate(c) for c in zip(*children))
     raise DepthExceeded(
         f"{pend_u.size} cells still unaccepted at depth {max_depth}; "
         f"narrowest is [{pend_u[0]!r}, {pend_v[0]!r}]"

@@ -10,6 +10,7 @@ from gaugequad import (
     ClosedInterval,
     DepthExceeded,
     EvaluatorDomainError,
+    Gauge,
     TaggedPartition,
     cousin_fine_partition,
     ext,
@@ -115,6 +116,26 @@ def test_pinched_gauge_partition_stays_valid_and_fine():
     narrowest = min(p.pairs, key=lambda pc: pc[1].length())
     widest = max(p.pairs, key=lambda pc: pc[1].length())
     assert narrowest[1].lo.value < widest[1].lo.value
+
+
+def test_partitioner_queries_each_point_once():
+    # A fine partition of a bounded target with c cells is a bisection
+    # tree of 2c - 1 cells; the gauge is asked about both ends of the
+    # target and the midpoint of each cell in the tree, nothing more.
+    g = singularity_gauge(uniform_gauge(0.1), [0.0], sharpness=5.0)
+    target = ClosedInterval(0.0, 1.0)
+    asked = []
+
+    def counted(z):
+        asked.append(z.size)
+        return g.window_fn(z)
+
+    gc = Gauge(counted, g.neg_ray, g.pos_ray)
+    for policy in ("random", "midpoint_first"):
+        asked.clear()
+        p = cousin_fine_partition(gc, target, policy=policy)
+        assert p.to_records() == cousin_fine_partition(g, target, policy=policy).to_records()
+        assert sum(asked) == 2 * len(p) + 1
 
 
 def test_riemann_sum_constant_is_exact():
