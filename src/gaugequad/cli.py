@@ -54,6 +54,7 @@ from .integrator import (
     IntegralResult,
     IntegralStatus,
     IntegratorConfig,
+    _schedule_params,
     hake_improper,
     integrate_auto,
 )
@@ -190,31 +191,31 @@ def _parse_gauge(spec: str, singular: tuple[float, ...]) -> Gauge:
     raise _UsageError(f"wrong parameter count for --gauge {spec!r}")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _overrides(args) -> dict:
+    """IntegratorConfig fields the common flags set; the seed falls back
+    to GAUGEQUAD_SEED when --seed is absent."""
+    kw = {
+        name: getattr(args, name)
+        for name in ("tol", "max_refinements", "max_depth", "seed")
+        if getattr(args, name) is not None
+    }
     raw = os.environ.get("GAUGEQUAD_SEED", "")
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"GAUGEQUAD_SEED is not an integer: {raw!r}")
+    if args.seed is None and raw:
+        try:
+            kw["seed"] = int(raw)
+        except ValueError:
+            raise _UsageError(f"GAUGEQUAD_SEED is not an integer: {raw!r}")
+    singular = _parse_singular(args.singular)
+    if singular:
+        kw["singular_points"] = singular
+    if args.gauge is not None:
+        kw["gauge_override"] = _parse_gauge(args.gauge, singular)
+    return kw
 
 
 def _config_from(args) -> IntegratorConfig:
-    singular = _parse_singular(args.singular)
-    kw = {"seed": _resolve_seed(args), "singular_points": singular}
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.max_refinements is not None:
-        kw["max_refinements"] = args.max_refinements
-    if args.max_depth is not None:
-        kw["max_depth"] = args.max_depth
-    if args.gauge is not None:
-        kw["gauge_override"] = _parse_gauge(args.gauge, singular)
     try:
-        return IntegratorConfig(**kw)
+        return IntegratorConfig(**_overrides(args))
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -316,6 +317,10 @@ def cmd_ftc(args) -> int:
     cfg = _config_from(args)
     F = _compiled(args.expr, (args.var,))
     target = _interval(args.lo, args.hi)
+    if not target.is_bounded:
+        raise _UsageError("ftc needs a bounded interval")
+    if args.grid < 2:
+        raise _UsageError("--grid must be at least 2 (the two endpoints)")
     fprime = None
     fprime_text = None
     mode = "synthesized"
@@ -367,6 +372,18 @@ def _report_exit(report) -> int:
     return _VERDICT_EXIT[report.overall.value]
 
 
+def _rectangle(args) -> Rectangle:
+    rect = Rectangle(
+        _interval(args.x_lo, args.x_hi), _interval(args.y_lo, args.y_hi)
+    )
+    if not rect.x_interval.is_bounded:
+        raise _UsageError(
+            f"the {args.x_var} interval must be bounded: the checks run on "
+            "windows [s, t] inside it"
+        )
+    return rect
+
+
 def cmd_dui(args) -> int:
     cfg = _config_from(args)
     f = _compiled(args.f, (args.x_var, args.y_var))
@@ -377,9 +394,7 @@ def cmd_dui(args) -> int:
         d = differentiate(parse(args.f), args.x_var)
         f1_text = to_text(d)
         f1 = compile_evaluator(d, (args.x_var, args.y_var))
-    rect = Rectangle(
-        _interval(args.x_lo, args.x_hi), _interval(args.y_lo, args.y_hi)
-    )
+    rect = _rectangle(args)
     report = diff_under_integral(f, f1, rect, cfg=cfg)
     payload = {
         "command": "dui",
@@ -403,9 +418,7 @@ def cmd_dui(args) -> int:
 def cmd_interchange(args) -> int:
     cfg = _config_from(args)
     g = _compiled(args.g, (args.x_var, args.y_var))
-    rect = Rectangle(
-        _interval(args.x_lo, args.x_hi), _interval(args.y_lo, args.y_hi)
-    )
+    rect = _rectangle(args)
     report = interchange_iterated(g, rect, cfg=cfg)
     payload = {
         "command": "interchange",
@@ -429,8 +442,10 @@ def cmd_series(args) -> int:
     cfg = _config_from(args)
     ev = _compiled(args.term, (args.x_var, args.n_var))
     target = _interval(args.lo, args.hi)
-    if args.n_max < 1:
-        raise _UsageError("--n-max must be at least 1")
+    if not target.is_bounded:
+        raise _UsageError("series needs a bounded interval")
+    if args.n_max < 2:
+        raise _UsageError("--n-max must be at least 2")
 
     def term_at(n: int) -> Callable:
         return lambda xv: ev(np.asarray(xv, dtype=float), np.float64(n))
@@ -461,20 +476,16 @@ def cmd_partition(args) -> int:
     else:
         lo, hi = target.lo.as_float(), target.hi.as_float()
         span = hi - lo if math.isfinite(hi - lo) else 8.0
-        gauge = uniform_gauge(max(span, 1e-12) / 8.0)
+        _, tail, _ = _schedule_params(cfg, target)
+        gauge = uniform_gauge(max(span, 1e-12) / 8.0, tail)
     part = cousin_fine_partition(
         gauge, target, max_depth=cfg.max_depth, seed=cfg.seed
     )
     violations = validate(part)
     fine = is_fine(part, gauge)
-
-    def norm(x):
-        # to_records spells the ends '+inf'/'-inf'; JSON uses 'inf'/'-inf'
-        return "inf" if x == "+inf" else x
-
     cells = [
-        {"tag": norm(r["tag"]), "lo": norm(r["lo"]), "hi": norm(r["hi"])}
-        for r in part.to_records()
+        {"tag": _json_float(t), "lo": _json_float(lo), "hi": _json_float(hi)}
+        for t, lo, hi in zip(part.tags.tolist(), part.lo.tolist(), part.hi.tolist())
     ]
     payload = {
         "command": "partition",
@@ -517,21 +528,7 @@ def cmd_corpus_list(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
-    overrides = {}
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_refinements is not None:
-        overrides["max_refinements"] = args.max_refinements
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    singular = _parse_singular(args.singular)
-    if singular:
-        overrides["singular_points"] = singular
-    if args.gauge is not None:
-        overrides["gauge_override"] = _parse_gauge(args.gauge, singular)
-    report = run_case(args.name, **overrides)
+    report = run_case(args.name, **_overrides(args))
     payload = {"command": "corpus-run", "report": report.to_json_dict()}
     if args.trace and isinstance(report.trace, list):
         payload["trace"] = [[int(k), v] for k, v in report.trace]

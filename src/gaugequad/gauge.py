@@ -25,7 +25,6 @@ from .extreal import (
     POS_INF,
     ExtRealLike,
     OpenInterval,
-    closed_subset_of_open,
     ext,
 )
 
@@ -259,10 +258,18 @@ def intersect_gauges(g1: Gauge, g2: Gauge) -> Gauge:
 
 
 def is_fine(partition, gauge: Gauge) -> bool:
-    """True iff every cell lies inside the window of its own tag."""
-    pairs = getattr(partition, "pairs", partition)
-    return all(
-        closed_subset_of_open(cell, gauge.assign(tag)) for tag, cell in pairs
+    """True iff every cell lies inside the window of its own tag.
+
+    One window call covers the finite tags; a cell tagged -oo must end
+    below neg_ray and one tagged +oo start above pos_ray.
+    """
+    tags, lo, hi = partition.tags, partition.lo, partition.hi
+    finite = np.isfinite(tags)
+    wlo, whi = gauge.windows(tags[finite])
+    return bool(
+        np.all((wlo < lo[finite]) & (hi[finite] < whi))
+        and np.all(hi[tags == -np.inf] < gauge.neg_ray)
+        and np.all(lo[tags == np.inf] > gauge.pos_ray)
     )
 
 

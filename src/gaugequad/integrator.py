@@ -29,8 +29,9 @@ from .gauge import Gauge, intersect_gauges, singularity_gauge, uniform_gauge
 from .partition import (
     DEFAULT_MAX_CELLS,
     CellBudgetExceeded,
-    EvaluatorDomainError,
+    _as_vector_fn,
     _carve_ends,
+    _eval_checked,
     refine_fine_cells,
 )
 
@@ -136,19 +137,6 @@ class SumSpread:
     sums: tuple[float, ...]
 
 
-def _as_vector_fn(f: Callable, probe: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt scalar or vectorized evaluators to the array protocol."""
-    try:
-        out = f(np.array([probe, probe]))
-        arr = np.asarray(out, dtype=float)
-        if arr.shape == (2,):
-            return lambda z: np.asarray(f(z), dtype=float)
-    except Exception:
-        pass
-    vec = np.vectorize(lambda x: float(f(float(x))), otypes=[float])
-    return lambda z: vec(z)
-
-
 def _probe_undefined(fv, points: Sequence[float]) -> list[float]:
     """Declared singular points where the evaluator is unusable."""
     undefined = []
@@ -201,21 +189,6 @@ def _level_gauge(
     if cfg.gauge_override is not None:
         g = intersect_gauges(cfg.gauge_override, g)
     return g
-
-
-def _eval_checked(fv, tags: np.ndarray) -> np.ndarray:
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(fv(tags), dtype=float)
-    except Exception as exc:
-        raise EvaluatorDomainError(f"evaluator raised on a tag batch: {exc}") from exc
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        t = float(tags[np.flatnonzero(bad)[0]])
-        raise EvaluatorDomainError(
-            f"evaluator returned a non-finite value at tag {t!r}", tag=t
-        )
-    return vals
 
 
 def _streamed_sum(
@@ -291,7 +264,7 @@ def hk_integrate(
     endpoint instead (a null-set modification).
     """
     cfg = cfg or IntegratorConfig()
-    lo_f, hi_f, _ = _carve_ends(uniform_gauge(1.0, max(8.0, *_abs_ends(target))), target)
+    lo_f, hi_f = _carve_ends(uniform_gauge(1.0, max(8.0, *_abs_ends(target))), target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
     points = [p for p in cfg.singular_points]
     undefined = _probe_undefined(fv, points)
@@ -305,7 +278,7 @@ def hk_integrate(
     root = np.random.SeedSequence(cfg.seed)
     for k in range(cfg.max_refinements + 1):
         gauge_k = _level_gauge(cfg, k, delta0, tail0, scale, points)
-        glo, ghi, _ = _carve_ends(gauge_k, target)
+        glo, ghi = _carve_ends(gauge_k, target)
         sums = []
         try:
             for r in range(cfg.stability_runs):
@@ -386,7 +359,7 @@ def hk_sum_spread(
     cfg = cfg or IntegratorConfig()
     if n_partitions < 1:
         raise ValueError("n_partitions must be at least 1")
-    lo_f, hi_f, _ = _carve_ends(gauge, target)
+    lo_f, hi_f = _carve_ends(gauge, target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
     undefined = _probe_undefined(fv, cfg.singular_points)
     sums = []

@@ -70,21 +70,68 @@ class EvaluatorDomainError(RuntimeError):
         self.tag = tag
 
 
-class TaggedPartition:
-    """A finite list of (tag, cell) pairs over a target interval."""
+def _as_vector_fn(f: Callable, probe: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Adapt scalar or vectorized evaluators to the array protocol."""
+    try:
+        out = f(np.array([probe, probe]))
+        arr = np.asarray(out, dtype=float)
+        if arr.shape == (2,):
+            return lambda z: np.asarray(f(z), dtype=float)
+    except Exception:
+        pass
+    vec = np.vectorize(lambda x: float(f(float(x))), otypes=[float])
+    return lambda z: vec(z)
 
-    __slots__ = ("target", "pairs")
+
+def _eval_checked(fv, tags: np.ndarray) -> np.ndarray:
+    try:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(fv(tags), dtype=float)
+    except Exception as exc:
+        raise EvaluatorDomainError(f"evaluator raised on a tag batch: {exc}") from exc
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        t = float(tags[np.flatnonzero(bad)[0]])
+        raise EvaluatorDomainError(
+            f"evaluator returned a non-finite value at tag {t!r}", tag=t
+        )
+    return vals
+
+
+class TaggedPartition:
+    """A tagged partition of a target interval as three float arrays.
+
+    Row i is the cell [lo[i], hi[i]] tagged at tags[i]; an end cell is a
+    row with an infinite tag and an infinite endpoint.  The
+    (ExtReal, ClosedInterval) pairs are built only when asked for.
+    """
+
+    __slots__ = ("target", "tags", "lo", "hi")
 
     def __init__(
         self,
         target: ClosedInterval,
         pairs: Iterable[tuple[ExtReal, ClosedInterval]],
     ):
+        rows = [(ext(t).as_float(), c.lo.as_float(), c.hi.as_float()) for t, c in pairs]
         self.target = target
-        self.pairs = [(ext(t), c) for t, c in pairs]
+        self.tags, self.lo, self.hi = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+
+    @classmethod
+    def _of_arrays(cls, target: ClosedInterval, tags, lo, hi) -> "TaggedPartition":
+        part = cls.__new__(cls)
+        part.target, part.tags, part.lo, part.hi = target, tags, lo, hi
+        return part
+
+    def _rows(self):
+        return zip(self.tags.tolist(), self.lo.tolist(), self.hi.tolist())
+
+    @property
+    def pairs(self) -> list[tuple[ExtReal, ClosedInterval]]:
+        return [(ExtReal(t), ClosedInterval(lo, hi)) for t, lo, hi in self._rows()]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.tags.size
 
     def __iter__(self):
         return iter(self.pairs)
@@ -92,16 +139,19 @@ class TaggedPartition:
     def to_records(self) -> list[dict]:
         """JSON-ready view: list of {tag, lo, hi} with string infinities."""
 
-        def num(x: ExtReal):
-            return x.value if x.is_finite else str(x)
+        def num(x: float):
+            return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
 
         return [
-            {"tag": num(tag), "lo": num(cell.lo), "hi": num(cell.hi)}
-            for tag, cell in self.pairs
+            {"tag": num(t), "lo": num(lo), "hi": num(hi)} for t, lo, hi in self._rows()
         ]
 
     def __repr__(self) -> str:
-        return f"TaggedPartition({self.target!r}, cells={len(self.pairs)})"
+        return f"TaggedPartition({self.target!r}, cells={len(self)})"
+
+
+def _cell(partition: TaggedPartition, i: int) -> ClosedInterval:
+    return ClosedInterval(float(partition.lo[i]), float(partition.hi[i]))
 
 
 def validate(partition: TaggedPartition) -> list[str]:
@@ -113,23 +163,32 @@ def validate(partition: TaggedPartition) -> list[str]:
     """
     violations: list[str] = []
     target = partition.target
-    if not partition.pairs:
+    if not len(partition):
         return [f"empty partition does not cover {target!r}"]
-    for tag, cell in partition.pairs:
-        if not cell.contains(tag):
-            violations.append(f"tag {tag} outside its cell {cell!r}")
-        if cell.lo < target.lo or cell.hi > target.hi:
+    t_lo, t_hi = target.lo.as_float(), target.hi.as_float()
+    tags, lo, hi = partition.tags, partition.lo, partition.hi
+    stray = ~((lo <= tags) & (tags <= hi))
+    outside = (lo < t_lo) | (hi > t_hi)
+    for i in np.flatnonzero(stray | outside):
+        cell = _cell(partition, i)
+        if stray[i]:
+            violations.append(f"tag {ExtReal(tags[i])} outside its cell {cell!r}")
+        if outside[i]:
             violations.append(f"cell {cell!r} extends outside target {target!r}")
-    cells = sorted((c for _, c in partition.pairs), key=lambda c: c.lo._key())
-    if cells[0].lo != target.lo:
-        violations.append(f"coverage starts at {cells[0].lo}, target starts at {target.lo}")
-    for prev, cur in zip(cells, cells[1:]):
-        if cur.lo < prev.hi:
+    order = np.argsort(lo, kind="stable")
+    s_lo, s_hi = lo[order], hi[order]
+    if s_lo[0] != t_lo:
+        violations.append(f"coverage starts at {ExtReal(s_lo[0])}, target starts at {target.lo}")
+    overlap = s_lo[1:] < s_hi[:-1]
+    gap = s_lo[1:] > s_hi[:-1]
+    for i in np.flatnonzero(overlap | gap):
+        if overlap[i]:
+            prev, cur = _cell(partition, order[i]), _cell(partition, order[i + 1])
             violations.append(f"cells {prev!r} and {cur!r} overlap")
-        elif cur.lo > prev.hi:
-            violations.append(f"gap between {prev.hi} and {cur.lo}")
-    if cells[-1].hi != target.hi:
-        violations.append(f"coverage ends at {cells[-1].hi}, target ends at {target.hi}")
+        else:
+            violations.append(f"gap between {ExtReal(s_hi[i])} and {ExtReal(s_lo[i + 1])}")
+    if s_hi[-1] != t_hi:
+        violations.append(f"coverage ends at {ExtReal(s_hi[-1])}, target ends at {target.hi}")
     return violations
 
 
@@ -139,73 +198,38 @@ def riemann_sum(f: Callable, partition: TaggedPartition) -> float:
     Unbounded cells contribute exactly 0 and f is never evaluated at
     their tags, so the sum is a finite combination of finite terms.
     Accumulation uses exact summation, making the result independent of
-    the order of the pairs.
+    the order of the cells.
     """
-    tags: list[float] = []
-    lengths: list[float] = []
-    for tag, cell in partition.pairs:
-        if not cell.is_bounded:
-            continue
-        tags.append(tag.value if tag.is_finite else math.nan)
-        lengths.append(cell.length())
-        if not tag.is_finite:
-            raise EvaluatorDomainError(
-                f"finite cell {cell!r} carries an infinite tag", tag=None
-            )
-    if not tags:
+    bounded = np.flatnonzero(np.isfinite(partition.lo) & np.isfinite(partition.hi))
+    if not bounded.size:
         return 0.0
-    tag_arr = np.array(tags, dtype=float)
-    try:
-        values = np.asarray(f(tag_arr), dtype=float)
-        if values.shape != tag_arr.shape:
-            raise TypeError("shape mismatch")
-    except EvaluatorDomainError:
-        raise
-    except Exception:
-        values = np.empty_like(tag_arr)
-        for i, t in enumerate(tag_arr):
-            try:
-                values[i] = float(f(t))
-            except Exception as exc:
-                raise EvaluatorDomainError(
-                    f"evaluator raised at tag {t!r}: {exc}", tag=float(t)
-                ) from exc
-    bad = ~np.isfinite(values)
-    if bad.any():
-        t = float(tag_arr[np.flatnonzero(bad)[0]])
-        raise EvaluatorDomainError(f"evaluator returned non-finite value at tag {t!r}", tag=t)
-    return math.fsum(values[i] * lengths[i] for i in range(len(lengths)))
+    tags = partition.tags[bounded]
+    infinite = np.flatnonzero(~np.isfinite(tags))
+    if infinite.size:
+        cell = _cell(partition, bounded[infinite[0]])
+        raise EvaluatorDomainError(f"finite cell {cell!r} carries an infinite tag")
+    values = _eval_checked(_as_vector_fn(f, probe=float(tags[0])), tags)
+    return math.fsum(values * (partition.hi[bounded] - partition.lo[bounded]))
 
 
-def _carve_ends(
-    gauge: Gauge, target: ClosedInterval
-) -> tuple[float, float, list[tuple[ExtReal, ClosedInterval]]]:
-    """Split off unbounded end cells; return the finite remainder bounds."""
-    end_cells: list[tuple[ExtReal, ClosedInterval]] = []
+def _carve_ends(gauge: Gauge, target: ClosedInterval) -> tuple[float, float]:
+    """Bounds [lo_f, hi_f] of the finite remainder once the unbounded end
+    cells [-oo, lo_f] and [hi_f, +oo] are split off the target."""
     eps = float(np.finfo(float).eps)
-    lo_f: float
-    hi_f: float
-    c1 = None
     if target.lo == NEG_INF:
         bound = min(gauge.neg_ray, target.hi.as_float())
         if not math.isfinite(bound):
             bound = 0.0
-        step = max(1.0, 8.0 * eps * abs(bound))
-        c1 = bound - step
-        end_cells.append((NEG_INF, ClosedInterval(NEG_INF, c1)))
-        lo_f = c1
+        lo_f = bound - max(1.0, 8.0 * eps * abs(bound))
     else:
         lo_f = target.lo.value
     if target.hi == POS_INF:
         bound = max(gauge.pos_ray, target.lo.as_float())
         if not math.isfinite(bound):
             bound = 0.0
-        step = max(1.0, 8.0 * eps * abs(bound))
-        c2 = bound + step
-        if c1 is not None and c2 <= c1:
-            c2 = c1 + max(1.0, 8.0 * eps * abs(c1))
-        end_cells.append((POS_INF, ClosedInterval(c2, POS_INF)))
-        hi_f = c2
+        hi_f = bound + max(1.0, 8.0 * eps * abs(bound))
+        if target.lo == NEG_INF and hi_f <= lo_f:
+            hi_f = lo_f + max(1.0, 8.0 * eps * abs(lo_f))
     else:
         hi_f = target.hi.value
     if not lo_f < hi_f:
@@ -213,7 +237,7 @@ def _carve_ends(
             f"no room for a finite segment between {lo_f} and {hi_f}; "
             "gauge rays at the ends are inconsistent with the target"
         )
-    return lo_f, hi_f, end_cells
+    return lo_f, hi_f
 
 
 def _reaches(gauge: Gauge, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,13 +365,17 @@ def cousin_fine_partition(
     ``validate``; it is fine for the gauge whenever no undefined-tag
     substitution was needed (the plain partitioner never substitutes).
     """
-    lo_f, hi_f, end_cells = _carve_ends(gauge, target)
+    lo_f, hi_f = _carve_ends(gauge, target)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     bucket: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def emit(tags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
-        bucket.append((tags.copy(), us.copy(), vs.copy()))
+    def emit(*rows: np.ndarray) -> None:
+        bucket.append(rows)
 
+    if target.lo == NEG_INF:
+        emit(np.array([-np.inf]), np.array([-np.inf]), np.array([lo_f]))
+    if target.hi == POS_INF:
+        emit(np.array([np.inf]), np.array([hi_f]), np.array([np.inf]))
     refine_fine_cells(
         gauge,
         lo_f,
@@ -358,17 +386,6 @@ def cousin_fine_partition(
         max_depth=max_depth,
         max_cells=max_cells,
     )
-    if bucket:
-        tags = np.concatenate([b[0] for b in bucket])
-        us = np.concatenate([b[1] for b in bucket])
-        vs = np.concatenate([b[2] for b in bucket])
-        order = np.argsort(us, kind="stable")
-        pairs = [
-            (ExtReal(float(tags[i])), ClosedInterval(float(us[i]), float(vs[i])))
-            for i in order
-        ]
-    else:
-        pairs = []
-    neg_ends = [pc for pc in end_cells if pc[0] == NEG_INF]
-    pos_ends = [pc for pc in end_cells if pc[0] == POS_INF]
-    return TaggedPartition(target, neg_ends + pairs + pos_ends)
+    tags, lo, hi = (np.concatenate(col) for col in zip(*bucket))
+    order = np.argsort(lo, kind="stable")
+    return TaggedPartition._of_arrays(target, tags[order], lo[order], hi[order])

@@ -183,6 +183,36 @@ def test_partition_default_gauge():
     assert payload["result"]["violations"] == []
 
 
+def test_partition_default_gauge_on_unbounded_targets():
+    # The default gauge's rays sit where hk_integrate's first level puts
+    # them (8 here), not a million units out.
+    for lo, hi, count in (("0", "inf", 17), ("-inf", "inf", 34)):
+        code, payload, _ = run_json("partition", lo, hi)
+        assert code == 0
+        assert payload["result"]["violations"] == []
+        assert payload["result"]["fine"] is True
+        assert payload["result"]["count"] == count
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "x^n", "x", "n", "0", "0.5", "--n-max", "1"),
+        ("series", "x^n", "x", "n", "0", "inf"),
+        ("ftc", "x^2", "x", "0", "1", "--grid", "1"),
+        ("ftc", "x^2", "x", "0", "inf"),
+        ("dui", "x*y", "x", "y", "0", "inf", "0", "1"),
+        ("interchange", "x*y", "x", "y", "-inf", "1", "0", "1"),
+    ],
+)
+def test_bad_arguments_are_one_line_usage_errors(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("gaugequad: error:")
+    assert err.count("\n") == 1
+
+
 def test_negative_infinite_endpoint_is_not_a_flag():
     code, payload, _ = run_json("improper", "exp(-x^2)", "x", "-inf", "inf")
     assert code == 0
@@ -243,6 +273,13 @@ def test_seed_env_fallback_and_flag_override():
                       "--json")
     assert json.loads(a)["inputs"]["options"]["seed"] == 7
     assert a == b
+
+
+def test_corpus_run_reads_the_seed_env_var():
+    _, from_env, _ = run_cli("corpus", "run", "dui-smooth", "--json",
+                             env={"GAUGEQUAD_SEED": "7"})
+    _, from_flag, _ = run_cli("corpus", "run", "dui-smooth", "--seed", "7", "--json")
+    assert from_env == from_flag
 
 
 # -- process-level smoke -----------------------------------------------------------

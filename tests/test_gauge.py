@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugequad import (
@@ -12,6 +12,7 @@ from gaugequad import (
     Gauge,
     OpenInterval,
     TaggedPartition,
+    cousin_fine_partition,
     enumeration_gauge,
     ext,
     intersect_gauges,
@@ -20,6 +21,7 @@ from gaugequad import (
     singularity_gauge,
     uniform_gauge,
 )
+from gaugequad.extreal import closed_subset_of_open
 from gaugequad.integrator import _reflect_gauge
 
 finite = st.floats(-1e5, 1e5)
@@ -255,6 +257,61 @@ def test_is_fine_checks_the_tag_not_the_cell_center():
         (ext(0.65), ClosedInterval(0.3, 1.0)),
     ]
     assert not is_fine(TaggedPartition(target, cells), g)
+
+
+def _cellwise_is_fine(partition, gauge):
+    return all(closed_subset_of_open(cell, gauge.assign(tag)) for tag, cell in partition)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["uniform", "singularity", "enumeration"]),
+    st.sampled_from([(0.0, 3.0), (-2.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)]),
+    st.floats(0.0, 0.3),
+    st.integers(0, 2**32 - 1),
+)
+def test_is_fine_matches_the_cellwise_reference(kind, ends, perturb, seed):
+    base = uniform_gauge(0.4, tail_cutoff=5.0)
+    g = {
+        "uniform": base,
+        "singularity": singularity_gauge(base, [0.5], sharpness=50.0),
+        "enumeration": enumeration_gauge(rational_enumeration(200), 1e-2, base=base),
+    }[kind]
+    target = ClosedInterval(*ends)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for tag, cell in cousin_fine_partition(g, target, seed=seed % 97):
+        roll = rng.random()
+        if roll < perturb / 3 and cell.is_bounded:
+            tag = ext(rng.uniform(cell.lo.value, cell.hi.value))
+        elif roll < 2 * perturb / 3:
+            tag = cell.lo if rng.random() < 0.5 else cell.hi
+        elif roll < perturb:
+            cell = ClosedInterval(cell.lo, cell.hi.as_float() + 0.3)
+        pairs.append((tag, cell))
+    p = TaggedPartition(target, pairs)
+    # Windows as wide as the narrowest cell, and rays at the finite ends
+    # of the end cells, put cell ends exactly on window ends.
+    width = float(np.min(p.hi - p.lo))
+    edges = Gauge(uniform_gauge(2 * width).window_fn, float(np.min(p.hi)), float(np.max(p.lo)))
+    for gauge in (g, uniform_gauge(0.3, tail_cutoff=7.0), edges):
+        assert is_fine(p, gauge) == _cellwise_is_fine(p, gauge)
+        for pair in pairs:
+            one = TaggedPartition(target, [pair])
+            assert is_fine(one, gauge) == _cellwise_is_fine(one, gauge)
+
+
+def test_is_fine_asks_the_window_map_once():
+    g = singularity_gauge(uniform_gauge(0.5, tail_cutoff=4.0), [0.0], sharpness=5.0)
+    sizes = []
+
+    def counted(z):
+        sizes.append(z.size)
+        return g.window_fn(z)
+
+    p = cousin_fine_partition(g, ClosedInterval(-math.inf, math.inf))
+    assert is_fine(p, Gauge(counted, g.neg_ray, g.pos_ray))
+    assert sizes == [len(p) - 2]
 
 
 def test_rational_enumeration_prefix_and_range():
