@@ -193,7 +193,9 @@ def _parse_gauge(spec: str, singular: tuple[float, ...]) -> Gauge:
 
 def _overrides(args) -> dict:
     """IntegratorConfig fields the common flags set; the seed falls back
-    to GAUGEQUAD_SEED when --seed is absent."""
+    to GAUGEQUAD_SEED when --seed is absent.  IntegratorConfig checks each
+    field on its own, so checking them on the defaults checks them for
+    any base config."""
     kw = {
         name: getattr(args, name)
         for name in ("tol", "max_refinements", "max_depth", "seed")
@@ -210,14 +212,15 @@ def _overrides(args) -> dict:
         kw["singular_points"] = singular
     if args.gauge is not None:
         kw["gauge_override"] = _parse_gauge(args.gauge, singular)
+    try:
+        IntegratorConfig(**kw)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     return kw
 
 
 def _config_from(args) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(**_overrides(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return IntegratorConfig(**_overrides(args))
 
 
 def _options_dict(cfg: IntegratorConfig, args) -> dict:

@@ -197,34 +197,36 @@ def _streamed_sum(
     lo_f: float,
     hi_f: float,
     *,
-    seed_seq,
+    seeds: Sequence[Sequence[int]],
     policy: str,
     cfg: IntegratorConfig,
     undefined: Sequence[float],
-) -> tuple[float, int]:
-    """One fine partition's Riemann sum without materializing cells."""
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    total = 0.0
+) -> tuple[np.ndarray, int]:
+    """Riemann sums of fine partitions, one per SeedSequence entropy in
+    ``seeds``, from one bisection tree and one evaluation per batch."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    totals = np.zeros(len(rngs))
     evals = 0
 
     def emit(tags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
-        nonlocal total, evals
-        vals = _eval_checked(fv, tags)
-        total += float(np.dot(vals, vs - us))
+        nonlocal evals
+        vals = _eval_checked(fv, tags.ravel()).reshape(tags.shape)
+        widths = vs - us
+        totals[:] += [np.dot(row, widths) for row in vals]
         evals += tags.size
 
     refine_fine_cells(
         gauge,
         lo_f,
         hi_f,
-        rng=rng,
+        rngs=rngs,
         emit=emit,
         policy=policy,
         max_depth=cfg.max_depth,
         max_cells=cfg.max_cells,
         undefined_tags=undefined,
     )
-    return total, evals
+    return totals, evals
 
 
 def _oscillation_stalled(values: Sequence[float], tol_floor: float) -> bool:
@@ -255,9 +257,11 @@ def hk_integrate(
 
     Level k uses windows of width delta0 * 2**-k (tail rays pushed out
     by the same factor) pinched quadratically around declared singular
-    points.  Each level draws ``stability_runs`` independent partitions;
-    the run spread plus the gap to the previous level is the empirical
-    error.  CONVERGED requires both below the mixed tolerance.
+    points.  Each level makes ``stability_runs`` fine partitions that
+    share one bisection tree (which cells are accepted does not depend on
+    the tags) and draw their tags from independent generators; the run
+    spread plus the gap to the previous level is the empirical error.
+    CONVERGED requires both below the mixed tolerance.
 
     Declared singular points where the evaluator is undefined are never
     used as tags: such cells are summed with the nearest defined
@@ -275,28 +279,24 @@ def hk_integrate(
     means: list[float] = []
     last_err = math.inf
     message = ""
-    root = np.random.SeedSequence(cfg.seed)
     for k in range(cfg.max_refinements + 1):
         gauge_k = _level_gauge(cfg, k, delta0, tail0, scale, points)
         glo, ghi = _carve_ends(gauge_k, target)
-        sums = []
         try:
-            for r in range(cfg.stability_runs):
-                s, n = _streamed_sum(
-                    fv,
-                    gauge_k,
-                    glo,
-                    ghi,
-                    seed_seq=np.random.SeedSequence([cfg.seed, k, r]),
-                    policy="midpoint_first",
-                    cfg=cfg,
-                    undefined=undefined,
-                )
-                sums.append(s)
-                evals += n
+            sums, n = _streamed_sum(
+                fv,
+                gauge_k,
+                glo,
+                ghi,
+                seeds=[[cfg.seed, k, r] for r in range(cfg.stability_runs)],
+                policy="midpoint_first",
+                cfg=cfg,
+                undefined=undefined,
+            )
         except CellBudgetExceeded as exc:
             message = f"stopped at refinement {k}: {exc}"
             break
+        evals += n
         mean_k = float(np.mean(sums))
         spread = float(np.max(sums) - np.min(sums))
         trace.extend((k, float(s)) for s in sums)
@@ -351,10 +351,11 @@ def hk_sum_spread(
     n_partitions: int,
     cfg: Optional[IntegratorConfig] = None,
 ) -> SumSpread:
-    """Riemann-sum spread over independent fine partitions of one gauge.
+    """Riemann-sum spread over fine partitions of one gauge.
 
-    A direct view of how tightly the gauge controls the sums; tags are
-    chosen in fully randomized candidate order.
+    A direct view of how tightly the gauge controls the sums.  The
+    partitions share one bisection tree, and each draws its own tags
+    from an independent generator in fully randomized candidate order.
     """
     cfg = cfg or IntegratorConfig()
     if n_partitions < 1:
@@ -362,21 +363,17 @@ def hk_sum_spread(
     lo_f, hi_f = _carve_ends(gauge, target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
     undefined = _probe_undefined(fv, cfg.singular_points)
-    sums = []
-    for i in range(n_partitions):
-        s, _ = _streamed_sum(
-            fv,
-            gauge,
-            lo_f,
-            hi_f,
-            seed_seq=np.random.SeedSequence([cfg.seed, 0x5EED, i]),
-            policy="random",
-            cfg=cfg,
-            undefined=undefined,
-        )
-        sums.append(s)
-    arr = np.array(sums)
-    return SumSpread(float(arr.min()), float(arr.max()), float(arr.mean()), tuple(sums))
+    sums, _ = _streamed_sum(
+        fv,
+        gauge,
+        lo_f,
+        hi_f,
+        seeds=[[cfg.seed, 0x5EED, i] for i in range(n_partitions)],
+        policy="random",
+        cfg=cfg,
+        undefined=undefined,
+    )
+    return SumSpread(float(sums.min()), float(sums.max()), float(sums.mean()), tuple(sums.tolist()))
 
 
 def cauchy_closed_form(branch, s: float) -> float:

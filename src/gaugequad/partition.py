@@ -253,7 +253,7 @@ def refine_fine_cells(
     lo: float,
     hi: float,
     *,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     emit: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     policy: str = "random",
     max_depth: int = 60,
@@ -263,10 +263,14 @@ def refine_fine_cells(
 ) -> int:
     """Bisect [lo, hi] into gauge-fine cells, streaming them to ``emit``.
 
-    Candidate tags for a cell [u, v] are u, the midpoint, and v; the
-    order they are tried in is  either a seeded random permutation
-    ("random") or midpoint first with the endpoints in seeded random
-    order ("midpoint_first", the low-noise choice for integration).
+    Which cells are accepted never depends on the generators, so the
+    runs, one per generator in ``rngs``, share one bisection tree; ``emit``
+    receives ``tags`` of shape (len(rngs), len(us)).  Candidate tags for
+    a cell [u, v] are u, the midpoint, and v; each run tries them in an
+    order drawn from its own generator, as it would bisecting alone:
+    a random permutation ("random") or midpoint first with the endpoints
+    in random order ("midpoint_first", the low-noise choice for
+    integration).
     Tags listed in ``undefined_tags`` are never emitted: a cell accepted
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
@@ -312,23 +316,23 @@ def refine_fine_cells(
                 tag_v = np.where(v_ok, v, u)
                 either = u_ok | v_ok
                 ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
+            acc = ok[0] | ok[1] | ok[2]
             if policy == "midpoint_first":
                 # The endpoint u is tried before v where the coin shows 0.
-                coin0 = rng.integers(0, 2, size=u.size) == 0
-                acc = ok[0] | ok[1] | ok[2]
+                coin0 = np.stack([g.integers(0, 2, size=u.size) for g in rngs]) == 0
                 pick_u = ok[0] & (coin0 | ~ok[2])
                 tags = np.where(ok[1], tag_m, np.where(pick_u, tag_u, tag_v))
             else:
                 ok_rows = np.stack(ok)
                 cols = np.arange(u.size)
-                chosen = np.full(u.size, -1, dtype=np.int64)
-                for cidx in _PERMS[rng.integers(0, 6, size=u.size)].T:
+                chosen = np.full((len(rngs), u.size), -1, dtype=np.int64)
+                perms = _PERMS[np.stack([g.integers(0, 6, size=u.size) for g in rngs])]
+                for cidx in np.moveaxis(perms, -1, 0):
                     take = (chosen < 0) & ok_rows[cidx, cols]
                     chosen[take] = cidx[take]
-                acc = chosen >= 0
                 tags = np.choose(chosen.clip(0), (tag_u, tag_m, tag_v))
             if acc.any():
-                emit(tags[acc], u[acc], v[acc])
+                emit(tags[:, acc], u[acc], v[acc])
                 accepted += int(acc.sum())
             rej = ~acc
             if rej.any():
@@ -366,22 +370,17 @@ def cousin_fine_partition(
     substitution was needed (the plain partitioner never substitutes).
     """
     lo_f, hi_f = _carve_ends(gauge, target)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     bucket: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def emit(*rows: np.ndarray) -> None:
-        bucket.append(rows)
-
     if target.lo == NEG_INF:
-        emit(np.array([-np.inf]), np.array([-np.inf]), np.array([lo_f]))
+        bucket.append((np.array([-np.inf]), np.array([-np.inf]), np.array([lo_f])))
     if target.hi == POS_INF:
-        emit(np.array([np.inf]), np.array([hi_f]), np.array([np.inf]))
+        bucket.append((np.array([np.inf]), np.array([hi_f]), np.array([np.inf])))
     refine_fine_cells(
         gauge,
         lo_f,
         hi_f,
-        rng=rng,
-        emit=emit,
+        rngs=[np.random.default_rng(seed)],
+        emit=lambda tags, us, vs: bucket.append((tags[0], us, vs)),
         policy=policy,
         max_depth=max_depth,
         max_cells=max_cells,

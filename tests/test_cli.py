@@ -203,6 +203,8 @@ def test_partition_default_gauge_on_unbounded_targets():
         ("ftc", "x^2", "x", "0", "inf"),
         ("dui", "x*y", "x", "y", "0", "inf", "0", "1"),
         ("interchange", "x*y", "x", "y", "-inf", "1", "0", "1"),
+        ("corpus", "run", "inv-sqrt", "--tol", "-1"),
+        ("corpus", "run", "inv-sqrt", "--max-depth", "0"),
     ],
 )
 def test_bad_arguments_are_one_line_usage_errors(argv):
