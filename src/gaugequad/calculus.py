@@ -751,16 +751,7 @@ def _term_adapter(terms) -> Callable:
     """Accept a callable n -> evaluator or a finite sequence of evaluators
     (zero beyond the end: a finite sum)."""
     if callable(terms):
-        cache: dict = {}
-
-        def term_at(n: int, xv: np.ndarray) -> np.ndarray:
-            fn = cache.get(n)
-            if fn is None:
-                fn = terms(n)
-                cache[n] = fn
-            return np.asarray(fn(xv), dtype=float)
-
-        return term_at
+        return lambda n, xv: np.asarray(terms(n)(xv), dtype=float)
 
     seq = list(terms)
 

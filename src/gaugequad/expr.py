@@ -57,6 +57,8 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 _COMPARE_SYMBOL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
 _SYMBOL_COMPARE = {v: k for k, v in _COMPARE_SYMBOL.items()}
+_COMPARE = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
+            "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
 
 
 class Expr:
@@ -322,19 +324,7 @@ def parse(text: str) -> Expr:
 # strict scalar evaluation
 
 def _truth(node: Compare, env) -> bool:
-    a = evaluate(node.left, env)
-    b = evaluate(node.right, env)
-    if node.op == "lt":
-        return a < b
-    if node.op == "le":
-        return a <= b
-    if node.op == "gt":
-        return a > b
-    if node.op == "ge":
-        return a >= b
-    if node.op == "eq":
-        return a == b
-    return a != b
+    return bool(_COMPARE[node.op](evaluate(node.left, env), evaluate(node.right, env)))
 
 
 def evaluate(e: Expr, env) -> float:
@@ -569,6 +559,10 @@ def compile_evaluator(e: Expr, names: tuple[str, ...]):
     Unlike evaluate, nonfinite values and domain violations flow through
     as nan/inf: the integrator owns the policy for undefined points.
     Comparisons outside piecewise conditions are rejected here.
+
+    x^k and x^-k with k an integer literal in 1..8 are computed by
+    multiplication (of 1/x for -k) and may differ from pow() in the last
+    bits; ±0, ±inf, nan and overflow match np.float_power, used otherwise.
     """
     order = {name: k for k, name in enumerate(names)}
 
@@ -600,13 +594,17 @@ def compile_evaluator(e: Expr, names: tuple[str, ...]):
             return lambda args: fn(child(args))
         if isinstance(node, Binary):
             left = build(node.left)
+            k = _literal_power(node)
+            if k:
+                chain = _power_chain(k)
+                return lambda args: chain(left(args))
             right = build(node.right)
             fn = {
                 "add": np.add,
                 "sub": np.subtract,
                 "mul": np.multiply,
                 "div": np.divide,
-                "pow": _vector_pow,
+                "pow": np.float_power,
             }[node.op]
             return lambda args: fn(left(args), right(args))
         if isinstance(node, Compare):
@@ -628,14 +626,7 @@ def compile_evaluator(e: Expr, names: tuple[str, ...]):
     def build_condition(node: Compare):
         left = build(node.left)
         right = build(node.right)
-        fn = {
-            "lt": np.less,
-            "le": np.less_equal,
-            "gt": np.greater,
-            "ge": np.greater_equal,
-            "eq": np.equal,
-            "ne": np.not_equal,
-        }[node.op]
+        fn = _COMPARE[node.op]
         return lambda args: fn(left(args), right(args))
 
     root = build(e)
@@ -655,6 +646,23 @@ def compile_evaluator(e: Expr, names: tuple[str, ...]):
     return evaluator
 
 
-def _vector_pow(a, b):
-    with np.errstate(all="ignore"):
-        return np.float_power(np.asarray(a, dtype=float), b)
+def _literal_power(node: Binary) -> int:
+    """k for ``x^k`` or ``x^-k`` with k an integer literal in 1..8, else 0."""
+    exponent, sign = node.right, 1
+    if isinstance(exponent, Unary) and exponent.op == "neg":
+        exponent, sign = exponent.child, -1
+    literal = node.op == "pow" and isinstance(exponent, Number) and exponent.value in range(1, 9)
+    return sign * int(exponent.value) if literal else 0
+
+
+def _power_chain(k: int):
+    """x -> x^k for |k| >= 1 by square-and-multiply, of 1/x when k < 0."""
+    if k < 0:
+        chain = _power_chain(-k)
+        return lambda x: chain(np.divide(1.0, x))
+    if k == 1:
+        return lambda x: x
+    half = _power_chain(k // 2)
+    if k % 2:
+        return lambda x: np.square(half(x)) * x
+    return lambda x: np.square(half(x))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +351,19 @@ def test_iterated_unresolved_inner_integral_is_inconclusive(monkeypatch):
     assert rep.overall is InterchangeVerdict.INCONCLUSIVE
     assert w.verdict is InterchangeVerdict.INCONCLUSIVE
     assert w.detail.startswith("lhs inner integral unresolved at ")
+
+
+def test_series_term_adapter_keeps_no_term_closure():
+    made = []
+
+    def terms(n):
+        fn = lambda x: x**n
+        made.append(weakref.ref(fn))
+        return fn
+
+    term_at = calculus._term_adapter(terms)
+    assert term_at(3, np.array([2.0])).tolist() == [8.0]
+    assert len(made) == 1 and made[0]() is None
 
 
 def test_series_n_max_validation():

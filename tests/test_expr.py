@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,3 +280,68 @@ def test_compile_evaluator_rejects_unknown_names():
 def test_compile_evaluator_rejects_bare_comparison():
     with pytest.raises(DomainError):
         compile_evaluator(parse("(x < 1) + 1"), ("x",))
+
+
+# -- integer-literal powers -------------------------------------------------
+
+_LITERAL_KS = [k for k in range(-8, 9) if k]
+
+
+def _power_of(k, xs):
+    with np.errstate(all="ignore"):
+        return compile_evaluator(parse(f"x^{k}"), ("x",))(xs)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("k", _LITERAL_KS)
+def test_literal_integer_power_is_within_2k_plus_1_ulp_of_mpmath(k):
+    rng = np.random.default_rng(abs(k))
+    mags = 10.0 ** rng.uniform(-4.0, 4.0, 400)
+    xs = np.concatenate([mags, -mags[:200], [1e-4, 1e4, -1.0, 1.0]])
+    got = _power_of(k, xs)
+    with mpmath.workprec(200):
+        for x, g in zip(xs, got):
+            exact = mpmath.power(mpmath.mpf(float(x)), k)
+            ulp = np.spacing(abs(float(exact)))
+            assert abs(mpmath.mpf(float(g)) - exact) <= (2 * abs(k) + 1) * ulp, (x, k)
+
+
+@pytest.mark.parametrize("k", _LITERAL_KS)
+def test_literal_integer_power_special_values_match_float_power(k):
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-200, -1e-200, 5e-324])
+    with np.errstate(all="ignore"):
+        want = np.float_power(xs, float(k))
+    assert _same_bits(_power_of(k, xs), want)
+
+
+def test_literal_negative_power_keeps_subnormal_results():
+    xs = np.array([1e104])
+    got = _power_of(-3, xs)
+    assert 0.0 < got[0] < np.finfo(float).tiny
+    assert _same_bits(got, np.float_power(xs, -3.0))
+
+
+@pytest.mark.parametrize("text,exponent", [
+    ("x^0", 0.0), ("x^2.5", 2.5), ("x^-0.5", -0.5), ("x^9", 9.0), ("x^(1+1)", 2.0),
+])
+def test_other_powers_match_float_power_bit_for_bit(text, exponent):
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([10.0 ** rng.uniform(-4.0, 4.0, 500), -rng.uniform(0.0, 5.0, 50),
+                         [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200]])
+    with np.errstate(all="ignore"):
+        got = compile_evaluator(parse(text), ("x",))(xs)
+        want = np.float_power(xs, exponent)
+    assert _same_bits(got, want)
+
+
+def test_interchange_kernel_makes_no_float_power_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.float_power called")
+
+    monkeypatch.setattr(np, "float_power", refuse)
+    f = compile_evaluator(parse("(x^2 - y^2)/(x^2 + y^2)^2"), ("x", "y"))
+    x, y = np.meshgrid(np.linspace(0.1, 1.0, 7), np.linspace(0.05, 1.0, 5))
+    assert np.allclose(f(x, y), (x * x - y * y) / (x * x + y * y) ** 2, rtol=1e-14)
