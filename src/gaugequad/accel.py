@@ -18,6 +18,8 @@ __all__ = [
     "window_oscillation",
 ]
 
+_TINY = np.finfo(float).tiny
+
 
 def aitken_sweep(s: np.ndarray) -> np.ndarray:
     """One delta-squared sweep; output is 2 entries shorter on axis 0.
@@ -28,18 +30,15 @@ def aitken_sweep(s: np.ndarray) -> np.ndarray:
     bounded sequence justifies).
     """
     s = np.asarray(s, dtype=float)
-    s0 = s[:-2]
-    s1 = s[1:-1]
-    s2 = s[2:]
-    d1 = s1 - s0
-    d2 = s2 - s1
+    d1 = s[1:-1] - s[:-2]
+    d2 = s[2:] - s[1:-1]
     den = d2 - d1
-    scale = np.abs(d1) + np.abs(d2) + np.finfo(float).tiny
+    scale = np.abs(d1) + np.abs(d2) + _TINY
     safe = np.abs(den) > 1e-12 * scale
     correction = np.where(safe, d2 * d2 / np.where(safe, den, 1.0), 0.0)
-    cap = 8.0 * (np.max(np.abs(s), axis=0) + np.finfo(float).tiny)
+    cap = 8.0 * (np.max(np.abs(s), axis=0) + _TINY)
     correction = np.where(np.abs(correction) > cap, 0.0, correction)
-    return s2 - correction
+    return s[2:] - correction
 
 
 def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
@@ -53,9 +52,8 @@ def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
     if s.ndim != 2 or s.shape[0] == 0:
         raise ValueError("need a nonempty 2-D array")
     if s.shape[0] < 3:
-        est = s[-1].copy()
         err = np.abs(s[-1] - s[0]) if s.shape[0] == 2 else np.full(s.shape[1], np.inf)
-        return est, err
+        return s[-1].copy(), err
     prev_tail = s[-1].copy()
     gap = np.abs(s[-1] - s[-2])
     sweep_change = gap.copy()
@@ -65,9 +63,8 @@ def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
             break
         s = aitken_sweep(s)
         gap = np.abs(s[-1] - s[-2]) if s.shape[0] >= 2 else gap
-        tail = s[-1]
-        sweep_change = np.abs(tail - prev_tail)
-        prev_tail = tail.copy()
+        sweep_change = np.abs(s[-1] - prev_tail)
+        prev_tail = s[-1].copy()
     return prev_tail, np.maximum(gap, sweep_change)
 
 
@@ -78,6 +75,26 @@ def shanks_limit(seq, max_sweeps: int | None = None) -> tuple[float, float]:
 
 
 _SERIES_WINDOW = 128
+_BLOCK_VALUES = 1 << 16  # values per partial-sum block (512 KB, cache-sized)
+
+
+def _partial_sum_blocks(sums: np.ndarray, term, n: int, stop: int):
+    """Yield (n0, block), block[i] = sums + term(n + 1) + ... + term(n0 + i).
+
+    Terms are asked for once each, in ascending order, up to term(stop);
+    the float store casts them and broadcasts scalars.  One sequential
+    cumsum per block makes exactly the additions of ``sums = sums + term(j)``.
+    """
+    rows = max(1, _BLOCK_VALUES // max(sums.size, 1))
+    while n < stop:
+        block = np.empty((min(rows, stop - n) + 1, sums.size))
+        block[0] = sums
+        for i in range(1, block.shape[0]):
+            block[i] = term(n + i)
+        np.cumsum(block, axis=0, out=block)
+        sums = block[-1]
+        yield n, block
+        n += block.shape[0] - 1
 
 
 def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
@@ -92,7 +109,11 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     factor-of-two range of indices regardless of depth.  Columns still
     undecided at n_cap are reported unresolved, never guessed.
 
-    term_at(n, x_vector) must return the n-th term at those points.
+    term_at(n, x_vector) must return the n-th term at those points, as an
+    array of their length or a scalar to broadcast.  Each octave calls it
+    once per n, in ascending n, with a fresh array of the columns live at
+    the octave's start; the sums are formed a block of terms at a time
+    with exactly the additions of summing term by term.
     Returns (est, err, resolved); unresolved columns carry err = inf.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -100,6 +121,8 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     est = np.zeros(m)
     err = np.full(m, np.inf)
     live = np.ones(m, dtype=bool)
+    if m == 0:
+        return est, err, ~live
     peak = np.zeros(m)
     sums = np.zeros(m)
     cand = np.full(m, np.nan)
@@ -113,18 +136,18 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     stage = 0
     while True:
         stride = k // (2 * window)
-        cp = np.empty((window, m))
-        slot = 0
-        while n < k:
-            n += 1
-            if live.any():
-                term = np.zeros(m)
-                term[live] = term_at(n, xs[live])
-                sums = sums + term
-            np.maximum(peak, np.abs(sums), out=peak)
-            if n > k // 2 and (n - k // 2) % stride == 0:
-                cp[slot] = sums
-                slot += 1
+        half = k // 2
+        idx = np.flatnonzero(live)
+        cp = np.tile(sums, (window, 1))
+        for n0, block in _partial_sum_blocks(sums[idx], lambda j: term_at(j, xs[idx]), n, k):
+            # Checkpoint c (1..window) is the sum through half + c*stride.
+            c0 = max(1, (n0 - half) // stride + 1)
+            c1 = min(window, (n0 + block.shape[0] - 1 - half) // stride)
+            if c0 <= c1:
+                cp[c0 - 1 : c1, idx] = block[half + c0 * stride - n0 :: stride][: c1 - c0 + 1]
+            sums[idx] = block[-1]
+            peak[idx] = np.maximum(peak[idx], np.abs(block[1:]).max(axis=0))
+        n = k
         anchors.append(sums.copy())
         span = np.abs(cp[-1] - cp[0])
         raw_ok = live & (span <= atol + atol * np.abs(cp[-1]))
@@ -157,11 +180,7 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
                 )
                 done = gi[agree]
                 est[done] = accel[agree]
-                err[done] = np.where(
-                    instant[agree],
-                    gauge[agree],
-                    (np.abs(accel - cand[gi]) + gauge)[agree],
-                )
+                err[done] = np.where(instant, gauge, np.abs(accel - cand[gi]) + gauge)[agree]
                 live[done] = False
                 cand[gi] = np.where(good, accel, np.nan)
             # Monotone tails with shrinking octave spans: the stage-end
@@ -197,8 +216,5 @@ def window_oscillation(values, width: int = 5) -> list[float]:
     v = np.asarray(values, dtype=float)
     if v.size < width:
         return []
-    out = []
-    for i in range(width - 1, v.size):
-        w = v[i - width + 1 : i + 1]
-        out.append(float(np.max(w) - np.min(w)))
-    return out
+    w = np.lib.stride_tricks.sliding_window_view(v, width)
+    return (w.max(axis=1) - w.min(axis=1)).tolist()

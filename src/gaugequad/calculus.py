@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .accel import series_limit
+from .accel import _partial_sum_blocks, series_limit
 from .extreal import ClosedInterval, ext
 from .integrator import (
     IntegralResult,
@@ -751,16 +751,9 @@ def _term_adapter(terms) -> Callable:
     """Accept a callable n -> evaluator or a finite sequence of evaluators
     (zero beyond the end: a finite sum)."""
     if callable(terms):
-        return lambda n, xv: np.asarray(terms(n)(xv), dtype=float)
-
+        return lambda n, xv: terms(n)(xv)
     seq = list(terms)
-
-    def term_at(n: int, xv: np.ndarray) -> np.ndarray:
-        if n <= len(seq):
-            return np.asarray(seq[n - 1](xv), dtype=float)
-        return np.zeros(np.asarray(xv, dtype=float).shape)
-
-    return term_at
+    return lambda n, xv: seq[n - 1](xv) if n <= len(seq) else np.zeros(xv.shape)
 
 
 def interchange_sum_integral(
@@ -785,11 +778,8 @@ def interchange_sum_integral(
     term_at = _term_adapter(terms)
     wins = _interval_or_windows(target, windows, cfg.seed)
 
-    limit_tol = cfg.tol / 2.0
-
     def limit_fn(xv):
-        xv = np.atleast_1d(np.asarray(xv, dtype=float))
-        est, _, resolved = series_limit(term_at, xv, limit_tol, _SERIES_CAP)
+        est, _, resolved = series_limit(term_at, xv, cfg.tol / 2.0, _SERIES_CAP)
         return np.where(resolved, est, np.nan)
 
     term_cfg = cfg.with_(tol=0.25 * cfg.tol / n_max)
@@ -847,8 +837,8 @@ def interchange_sum_integral(
     def partial(xv):
         xv = np.atleast_1d(np.asarray(xv, dtype=float))
         acc = np.zeros(xv.shape)
-        for n in range(1, n_max + 1):
-            acc = acc + term_at(n, xv)
+        for _, block in _partial_sum_blocks(acc, lambda n: term_at(n, xv), 0, n_max):
+            acc = block[-1]
         return acc
 
     pointwise = _pointwise_rows(

@@ -247,13 +247,8 @@ def _compiled(text: str, names: tuple[str, ...]) -> Callable:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(
-            json.dumps(
-                _sanitize_json(payload), sort_keys=True, indent=2, allow_nan=False
-            )
-        )
-    else:
-        print(text)
+        text = json.dumps(_sanitize_json(payload), sort_keys=True, indent=2, allow_nan=False)
+    print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
 
 def _integral_text(res: IntegralResult, trace: bool) -> str:
@@ -655,17 +650,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except BrokenPipeError:  # the reader left; quiet the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except (_UsageError, UnknownCase, DomainError, UnboundVariable, NotDifferentiable,
+            EvaluatorDomainError) as exc:
         print(f"gaugequad: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"gaugequad: parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, UnboundVariable, NotDifferentiable, EvaluatorDomainError) as exc:
-        print(f"gaugequad: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownCase as exc:
-        print(f"gaugequad: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DepthExceeded, CellBudgetExceeded) as exc:
         print(f"gaugequad: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -294,3 +295,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "0.333333" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The reader is gone before anything is written, as in `... | head -0`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugequad", "corpus", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
