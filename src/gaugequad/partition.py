@@ -15,6 +15,7 @@ through a callback so integration does not have to materialize them.
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,18 +41,17 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELLS = 1 << 23
+_BLOCK = 1 << 14  # cells per block of a round's elementwise work (cache-sized)
 
-_PERMS = np.array(
-    [
-        [0, 1, 2],
-        [0, 2, 1],
-        [1, 0, 2],
-        [1, 2, 0],
-        [2, 0, 1],
-        [2, 1, 0],
-    ],
-    dtype=np.int8,
-)
+
+# _FIRST_FIT[policy][fits, draw]: the first candidate (0 = u, 1 = midpoint,
+# 2 = v) in the draw's order with its bit set in fits.  Draws are permutation
+# numbers ("random") or coins, 0 meaning u before v ("midpoint_first").
+_ORDERS = {"random": list(permutations(range(3))), "midpoint_first": [(1, 0, 2), (1, 2, 0)]}
+_FIRST_FIT = {
+    policy: np.array([[next((c for c in o if f >> c & 1), 0) for o in orders] for f in range(8)])
+    for policy, orders in _ORDERS.items()
+}
 
 
 class DepthExceeded(RuntimeError):
@@ -89,12 +89,9 @@ def _eval_checked(fv, tags: np.ndarray) -> np.ndarray:
             vals = np.asarray(fv(tags), dtype=float)
     except Exception as exc:
         raise EvaluatorDomainError(f"evaluator raised on a tag batch: {exc}") from exc
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        t = float(tags[np.flatnonzero(bad)[0]])
-        raise EvaluatorDomainError(
-            f"evaluator returned a non-finite value at tag {t!r}", tag=t
-        )
+    if not np.isfinite(vals).all():
+        t = float(tags[np.flatnonzero(~np.isfinite(vals))[0]])
+        raise EvaluatorDomainError(f"evaluator returned a non-finite value at tag {t!r}", tag=t)
     return vals
 
 
@@ -275,79 +272,81 @@ def refine_fine_cells(
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
 
+    Each round takes the frontier ``chunk`` cells at a time; the chunk fixes
+    the next frontier (left children, then right children), the draws (one
+    per generator) and the emits (one).  Blocks of ``_BLOCK`` cells only
+    bound the temporaries.
+
     Returns the number of accepted cells.  Raises DepthExceeded if some
-    cell survives max_depth bisections and CellBudgetExceeded if the
-    frontier plus accepted cells would exceed max_cells.
+    cell survives max_depth bisections or, after its chunk's emit, can
+    neither be split nor tagged, and CellBudgetExceeded if the frontier
+    plus accepted cells would exceed max_cells.
     """
-    if policy not in ("random", "midpoint_first"):
+    if policy not in _FIRST_FIT:
         raise ValueError(f"unknown tag policy {policy!r}")
+    first_fit = _FIRST_FIT[policy]
+    orders = first_fit.shape[1]
     undef = np.array(sorted(set(float(t) for t in undefined_tags)), dtype=float)
-    pend_u = np.array([lo], dtype=float)
-    pend_v = np.array([hi], dtype=float)
     # Each pending cell [u, v] carries the right reach of u's window and
     # the left reach of v's; a split hands them to its children, so every
     # round queries the gauge at the new midpoints only.
     reach_r, reach_l = _reaches(gauge, np.array([lo, hi], dtype=float))
-    pend_ru, pend_lv = reach_r[:1], reach_l[1:]
+    pend_u, pend_v, pend_ru, pend_lv = np.array([[lo], [hi], reach_r[:1], reach_l[1:]])
     accepted = 0
     for depth in range(max_depth + 1):
         n = pend_u.size
-        if n == 0:
-            return accepted
         if accepted + 2 * n > max_cells:
-            raise CellBudgetExceeded(
-                f"partition would exceed {max_cells} cells (depth {depth})"
-            )
-        children: list[tuple[np.ndarray, ...]] = []
+            raise CellBudgetExceeded(f"partition would exceed {max_cells} cells (depth {depth})")
+        frontier: list[tuple[np.ndarray, ...]] = []
         for start in range(0, n, chunk):
-            u, v, ru, lv = (a[start : start + chunk] for a in (pend_u, pend_v, pend_ru, pend_lv))
-            m = u + 0.5 * (v - u)
-            splittable = (m > u) & (m < v)
-            rm, lm = _reaches(gauge, m)
-            ok = [v < ru, splittable & (lm < u) & (v < rm), lv < u]
-            tag_u, tag_m, tag_v = u, m, v
-            if undef.size:
-                # Replacement tag when the candidate itself is undefined:
-                # the opposite endpoint for endpoints, the left endpoint
-                # for the midpoint (falling back to the right).
-                u_ok, m_ok, v_ok = (~np.isin(z, undef) for z in (u, m, v))
-                tag_u = np.where(u_ok, u, v)
-                tag_m = np.where(m_ok, m, tag_u)
-                tag_v = np.where(v_ok, v, u)
-                either = u_ok | v_ok
-                ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
-            acc = ok[0] | ok[1] | ok[2]
-            if policy == "midpoint_first":
-                # The endpoint u is tried before v where the coin shows 0.
-                coin0 = np.stack([g.integers(0, 2, size=u.size) for g in rngs]) == 0
-                pick_u = ok[0] & (coin0 | ~ok[2])
-                tags = np.where(ok[1], tag_m, np.where(pick_u, tag_u, tag_v))
-            else:
-                ok_rows = np.stack(ok)
-                cols = np.arange(u.size)
-                chosen = np.full((len(rngs), u.size), -1, dtype=np.int64)
-                perms = _PERMS[np.stack([g.integers(0, 6, size=u.size) for g in rngs])]
-                for cidx in np.moveaxis(perms, -1, 0):
-                    take = (chosen < 0) & ok_rows[cidx, cols]
-                    chosen[take] = cidx[take]
-                tags = np.choose(chosen.clip(0), (tag_u, tag_m, tag_v))
-            if acc.any():
-                emit(tags[:, acc], u[acc], v[acc])
-                accepted += int(acc.sum())
-            rej = ~acc
-            if rej.any():
-                if not splittable[rej].all():
-                    bad = np.flatnonzero(rej & ~splittable)[0]
-                    raise DepthExceeded(
-                        f"cell [{u[bad]!r}, {v[bad]!r}] cannot be split further "
-                        "and no candidate tag satisfies the gauge"
-                    )
-                mid = m[rej]
-                children.append((u[rej], mid, ru[rej], lm[rej]))
-                children.append((mid, v[rej], rm[rej], lv[rej]))
-        if not children:
+            cells = [a[start : start + chunk] for a in (pend_u, pend_v, pend_ru, pend_lv)]
+            draws = np.array([g.integers(0, orders, size=cells[0].size) for g in rngs])
+            got, left, right, stuck = [], [], [], []
+            for b in range(0, cells[0].size, _BLOCK):
+                u, v, ru, lv = (a[b : b + _BLOCK] for a in cells)
+                m = u + 0.5 * (v - u)
+                splittable = (m > u) & (m < v)
+                rm, lm = _reaches(gauge, m)
+                ok = [v < ru, splittable & (lm < u) & (v < rm), lv < u]
+                tag_u, tag_m, tag_v = u, m, v
+                if undef.size:
+                    # Replacement tag when the candidate itself is undefined:
+                    # the opposite endpoint for endpoints, the left endpoint
+                    # for the midpoint (falling back to the right).
+                    u_ok, m_ok, v_ok = ~np.isin(np.concatenate((u, m, v)), undef).reshape(3, -1)
+                    tag_u, tag_v = np.where(u_ok, u, v), np.where(v_ok, v, u)
+                    tag_m = np.where(m_ok, m, tag_u)
+                    either = u_ok | v_ok
+                    ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
+                acc = ok[0] | ok[1] | ok[2]
+                ia, ir = acc.nonzero()[0], (~acc).nonzero()[0]
+                if ia.size:
+                    # Each run's first fitting candidate, by flat index into
+                    # first_fit, gathered from the candidates laid end to end.
+                    fits = ok[0] + 2 * ok[1].view(np.uint8) + 4 * ok[2].view(np.uint8)
+                    drawn = draws[:, b : b + _BLOCK].take(ia, axis=1)
+                    chosen = first_fit.take(drawn + orders * fits.take(ia))
+                    tags = np.concatenate((tag_u, tag_m, tag_v)).take(chosen * u.size + ia)
+                    got.append((tags, u.take(ia), v.take(ia)))
+                if ir.size:
+                    if not splittable.all():
+                        stuck += [(u[i], v[i]) for i in ir[~splittable.take(ir)][:1]]
+                    mid = m.take(ir)
+                    left.append((u.take(ir), mid, ru.take(ir), lm.take(ir)))
+                    right.append((mid, v.take(ir), rm.take(ir), lv.take(ir)))
+            if got:
+                tags, us, vs = (p[0] if len(got) == 1 else np.hstack(p) for p in zip(*got))
+                emit(tags, us, vs)
+                accepted += us.size
+            if stuck:
+                raise DepthExceeded(
+                    f"cell [{stuck[0][0]!r}, {stuck[0][1]!r}] cannot be split further "
+                    "and no candidate tag satisfies the gauge"
+                )
+            frontier += left + right
+        if not frontier:
             return accepted
-        pend_u, pend_v, pend_ru, pend_lv = (np.concatenate(c) for c in zip(*children))
+        pend_u, pend_v, pend_ru, pend_lv = (np.concatenate(c) for c in zip(*frontier))
     raise DepthExceeded(
         f"{pend_u.size} cells still unaccepted at depth {max_depth}; "
         f"narrowest is [{pend_u[0]!r}, {pend_v[0]!r}]"

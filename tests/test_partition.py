@@ -20,6 +20,8 @@ from gaugequad import (
     uniform_gauge,
     validate,
 )
+from gaugequad import partition
+from gaugequad.partition import refine_fine_cells
 
 
 def cell_lengths(p):
@@ -91,6 +93,49 @@ def test_different_seeds_move_the_tags():
 def test_depth_limit_raises():
     with pytest.raises(DepthExceeded):
         cousin_fine_partition(uniform_gauge(1e-6), ClosedInterval(0.0, 1.0), max_depth=3)
+
+
+ULP1 = 2.0**-52  # spacing of doubles in [1, 2)
+
+
+def _stuck_below(z):
+    # Every window reaches one double down.  Up, it reaches two doubles
+    # from 1 + 4 ulp on and one below that: a one-ulp cell up there fits
+    # its left end, and below it no cell fits and none can be split.
+    step = np.spacing(z)
+    return z - step, np.where(z >= 1.0 + 4 * ULP1, z + 2 * step, z + step)
+
+
+@pytest.mark.parametrize("block", [1, 2, 1 << 14])
+def test_chunk_emits_its_accepted_cells_before_a_stuck_cell_raises(block, monkeypatch):
+    # [1, 1 + 8 ulp] is bisected to eight one-ulp cells in one round and
+    # one chunk.  The stuck [1, 1 + ulp] comes first in frontier order,
+    # so with one cell per block every accepted cell sits in a later
+    # block.  The chunk still emits them all before the stuck cell
+    # raises, so an integrand error in that emit is the one reported.
+    monkeypatch.setattr(partition, "_BLOCK", block)
+    gauge = Gauge(_stuck_below, -1.0, 1.0)
+    emitted = []
+
+    def refine(emit):
+        refine_fine_cells(
+            gauge, 1.0, 1.0 + 8 * ULP1, rngs=[np.random.default_rng(0)], emit=emit, policy="midpoint_first"
+        )
+
+    with pytest.raises(DepthExceeded) as stuck:
+        refine(lambda tags, us, vs: emitted.append((tags.tolist(), us.tolist(), vs.tolist())))
+    assert str(stuck.value) == (
+        f"cell [{np.float64(1.0)!r}, {np.float64(1.0 + ULP1)!r}] cannot be split further "
+        "and no candidate tag satisfies the gauge"
+    )
+    us = [1.0 + k * ULP1 for k in (4, 6, 5, 7)]
+    assert emitted == [([us], us, [u + ULP1 for u in us])]
+
+    def failing(tags, us, vs):
+        raise EvaluatorDomainError("evaluator returned a non-finite value")
+
+    with pytest.raises(EvaluatorDomainError):
+        refine(failing)
 
 
 def test_cell_budget_raises():

@@ -23,6 +23,7 @@ from gaugequad import (
     singularity_gauge,
     uniform_gauge,
 )
+from gaugequad import partition
 from gaugequad.partition import _carve_ends, refine_fine_cells
 
 UNIT = ClosedInterval(0.0, 1.0)
@@ -107,6 +108,64 @@ def test_each_run_draws_the_tags_it_would_draw_alone(gauge, target, undefined, c
     # The runs do draw different tags, so the rows are not copies.
     tags = np.concatenate([t for t, _, _ in shared], axis=1)
     assert not np.array_equal(tags[0], tags[1]) or not np.array_equal(tags[0], tags[2])
+
+
+# Frozen digests of every emit of refine_fine_cells (tags, us and vs,
+# bytes and shapes), taken before the rounds ran in blocks.  Blocks only
+# bound the temporaries; the chunk fixes order, draws and emit batches.
+EMIT_CASES = {
+    "rough-line": (intersect_gauges(ROUGH, uniform_gauge(0.05, 8.0)), LINE, ()),
+    "sing-undefined": (
+        intersect_gauges(ROUGH, singularity_gauge(uniform_gauge(0.1, 8.0), [0.0, 0.5], 1.0)),
+        UNIT,
+        (0.0, 0.5),
+    ),
+    "enum-half": (ENUM, HALF_LINE, ()),
+}
+EMIT_DIGESTS = {
+    ('rough-line', 'midpoint_first', 1, 64): '7d576d4271032d8e',
+    ('rough-line', 'midpoint_first', 1, 1 << 19): '1184bd8df13b4f44',
+    ('rough-line', 'midpoint_first', 3, 64): '26779c5e61d33109',
+    ('rough-line', 'midpoint_first', 3, 1 << 19): 'cd0cd84ff8eab503',
+    ('rough-line', 'random', 1, 64): '0a0b418010cd3f43',
+    ('rough-line', 'random', 1, 1 << 19): 'e803650bc27ea321',
+    ('rough-line', 'random', 3, 64): 'cb557a8aba9121f5',
+    ('rough-line', 'random', 3, 1 << 19): '02116dd8e1e5ce21',
+    ('sing-undefined', 'midpoint_first', 1, 64): 'a0566ef1f1174614',
+    ('sing-undefined', 'midpoint_first', 1, 1 << 19): '582280fef78e9658',
+    ('sing-undefined', 'midpoint_first', 3, 64): 'ae222b077afa5f08',
+    ('sing-undefined', 'midpoint_first', 3, 1 << 19): 'e02e6b45cbd29da4',
+    ('sing-undefined', 'random', 1, 64): '862ab5d2111d006e',
+    ('sing-undefined', 'random', 1, 1 << 19): '9730d2ee7624351d',
+    ('sing-undefined', 'random', 3, 64): '8e255fa6a88a2773',
+    ('sing-undefined', 'random', 3, 1 << 19): 'eb41428d971e35de',
+    ('enum-half', 'midpoint_first', 1, 64): '0dcc88d150b6bb7d',
+    ('enum-half', 'midpoint_first', 1, 1 << 19): '8be0ae5680e77065',
+    ('enum-half', 'midpoint_first', 3, 64): 'cecf73b5eaec202c',
+    ('enum-half', 'midpoint_first', 3, 1 << 19): '4ae16283a36a626f',
+    ('enum-half', 'random', 1, 64): '996d0b3440ec2ba6',
+    ('enum-half', 'random', 1, 1 << 19): '462cbb097ec751cd',
+    ('enum-half', 'random', 3, 64): '721d92cb01462fe5',
+    ('enum-half', 'random', 3, 1 << 19): '2a7fa45173674178',
+}
+
+
+def _emits_digest(records) -> str:
+    h = hashlib.sha256()
+    for rows in records:
+        for a in rows:
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 14])
+@pytest.mark.parametrize("key", sorted(EMIT_DIGESTS))
+def test_block_size_moves_no_emitted_bit(key, block, monkeypatch):
+    name, policy, runs, chunk = key
+    gauge, target, undefined = EMIT_CASES[name]
+    monkeypatch.setattr(partition, "_BLOCK", block)
+    records = _emits(gauge, target, [[3, 1, r] for r in range(runs)], policy, undefined, chunk)
+    assert _emits_digest(records) == EMIT_DIGESTS[key]
 
 
 # Frozen digests of (value, error, status, evaluations, trace) of
