@@ -395,7 +395,10 @@ def cauchy_closed_form(branch, s: float) -> float:
 # Exhaustion (cutoff-limit) evaluation
 
 
-_CHUNK_ELEMS = 1 << 22
+_CHUNK_ELEMS = 1 << 16
+# A Romberg row settles only while the plain gap is within this factor of
+# its tolerance, so a kink that fakes O(h^4) decay cannot settle it early.
+_ROMBERG_GUARD = 16.0
 
 
 def _midpoint_sums(evaluate, lo, hi, nrows, tol, rel_tol, start_cells, max_cells):
@@ -408,13 +411,21 @@ def _midpoint_sums(evaluate, lo, hi, nrows, tol, rel_tol, start_cells, max_cells
     the integrand is undefined.  Shared bounds pass ``mids`` as one vector
     of length n and ``w`` as a scalar, so row-independent subexpressions
     stay length n; per-row bounds pass a ``(rows.size, n)`` matrix and a
-    width per row.  Cell counts double from ``start_cells``; a row settles
-    once |S_n - S_{n/2}| <= tol + rel_tol * |S_n| and otherwise stops at
-    ``max_cells``.  Returns (values, gaps, settled, evals).
+    width per row.  Cell counts double from ``start_cells``.
+
+    A row settles on the first pass where either column meets its
+    tolerance.  The Romberg column R_n = S_n + (S_n - S_{n/2}) / 3 needs
+    |R_n - R_{n/2}| <= lim = tol + rel_tol * |R_n| and, as in de Boor's
+    cautious extrapolation, |S_n - S_{n/2}| <= _ROMBERG_GUARD * lim; it
+    reports R_n with gap |R_n - R_{n/2}|, even where the plain column also
+    passes.  Otherwise the plain column needs |S_n - S_{n/2}| <= tol +
+    rel_tol * |S_n| and reports S_n with that gap, as does a row still
+    moving at ``max_cells``.  Returns (values, gaps, settled, evals).
     """
     shared = np.ndim(lo) == 0
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    romb = np.full(nrows, np.nan)
     values = np.full(nrows, np.nan)
     gaps = np.full(nrows, math.inf)
     settled = np.zeros(nrows, dtype=bool)
@@ -438,10 +449,16 @@ def _midpoint_sums(evaluate, lo, hi, nrows, tol, rel_tol, start_cells, max_cells
             evals += mat.size
             sums[c0 : c0 + chunk] = mat.sum(axis=1) * w
             del mat  # free before the next chunk is evaluated
+        # Live rows never settled, so values[live] still holds S_{n/2}.
         gap = np.abs(sums - values[live])
-        ok = np.isfinite(sums) & (gap <= tol + rel_tol * np.abs(sums))
-        values[live] = sums
-        gaps[live] = gap
+        r = sums + (sums - values[live]) / 3.0
+        r_gap = np.abs(r - romb[live])
+        lim = tol + rel_tol * np.abs(r)
+        on_r = np.isfinite(r) & (r_gap <= lim) & (gap <= _ROMBERG_GUARD * lim)
+        ok = on_r | (np.isfinite(sums) & (gap <= tol + rel_tol * np.abs(sums)))
+        romb[live] = r
+        values[live] = np.where(on_r, r, sums)
+        gaps[live] = np.where(on_r, r_gap, gap)
         settled[live] = ok
         live = live[~ok]
         if n >= max_cells:
@@ -540,7 +557,8 @@ def _exhaust_side(
     max_lobes = 1024
     # Declared singular structure (a pinch target or a custom gauge)
     # routes every rung through the gauge integrator; plain rungs use
-    # the much cheaper uniform midpoint refinement.
+    # the much cheaper uniform midpoint refinement, whose rows settle on
+    # the plain midpoint sums or on one guarded Romberg step.
     via_gauge = cfg.gauge_override is not None or bool(cfg.singular_points)
     for j in range(cfg.max_refinements + 1):
         if to_is_inf:
@@ -729,16 +747,13 @@ def _improper_ends(
     fv, target: ClosedInterval, cfg: IntegratorConfig
 ) -> tuple[bool, bool]:
     """Which endpoints need exhaustion: infinite, declared, or undefined."""
-    lo, hi = target.lo, target.hi
-    left = lo == NEG_INF
-    right = hi == POS_INF
-    if lo.is_finite:
-        if lo.value in cfg.singular_points or _probe_undefined(fv, [lo.value]):
-            left = True
-    if hi.is_finite:
-        if hi.value in cfg.singular_points or _probe_undefined(fv, [hi.value]):
-            right = True
-    return left, right
+
+    def improper(end, inf) -> bool:
+        if not end.is_finite:
+            return end == inf
+        return end.value in cfg.singular_points or bool(_probe_undefined(fv, [end.value]))
+
+    return improper(target.lo, NEG_INF), improper(target.hi, POS_INF)
 
 
 def hake_improper(
@@ -767,18 +782,7 @@ def hake_improper(
         right = True  # compact target: exhaust toward the right endpoint
     # Anchor separating the two exhaustion directions.
     if left and right:
-        lo_v = lo.as_float()
-        hi_v = hi.as_float()
-        if lo_v < 0.0 < hi_v:
-            anchor = 0.0
-        elif lo.is_finite and hi.is_finite:
-            anchor = lo.value + 0.5 * (hi.value - lo.value)
-        elif lo.is_finite:
-            anchor = lo.value + 1.0
-        elif hi.is_finite:
-            anchor = hi.value - 1.0
-        else:
-            anchor = 0.0
+        anchor = 0.0 if lo.as_float() < 0.0 < hi.as_float() else mid_probe
     else:
         anchor = lo.value if not left else hi.value
     sides: list[_SideOutcome] = []
@@ -816,12 +820,7 @@ def hake_improper(
     value = sum(s.value for s in sides)
     err = sum(s.err for s in sides)
     evals = sum(s.evals for s in sides)
-    trace: list[tuple[int, float]] = []
-    i = 0
-    for s in sides:
-        for a in s.anchors:
-            trace.append((i, float(a)))
-            i += 1
+    trace = list(enumerate(float(a) for s in sides for a in s.anchors))
     statuses = [s.status for s in sides]
     if IntegralStatus.DIVERGED in statuses:
         status = IntegralStatus.DIVERGED

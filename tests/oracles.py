@@ -28,6 +28,9 @@ SINC_HALF_PI = math.pi / 2.0           # int_0^oo sin(x)/x
 E_MINUS_2 = math.e - 2.0               # int_0^1 (e^x - 1 - 0) dx with series sum_{n>=1} x^n/n!
 BASEL = math.pi * math.pi / 6.0        # sum 1/n^2
 LN_2 = math.log(2.0)                   # alternating harmonic sum
+# int_0^oo |sin x| e^-x: lobe k holds e^(-k pi) (1 + e^-pi) / 2, and the
+# geometric sum of the lobes is coth(pi/2) / 2.
+ABS_SIN_EXP = 0.5 / math.tanh(math.pi / 2.0)
 
 
 def mixed_close(a: float, b: float, tol: float) -> bool:

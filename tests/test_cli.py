@@ -61,6 +61,16 @@ def test_divergent_integral_exit_two():
     assert "DIVERGED" in out
 
 
+def test_divergent_oscillation_is_not_reported_converged():
+    # x sin(x^2) sin(wx) diverges for every w != 0: its cutoff integrals
+    # oscillate without decay, so no Shanks antilimit may be claimed.
+    code, payload, _ = run_json(
+        "improper", "x*sin(x^2)*sin(0.62*x)", "x", "0", "inf", "--tol", "1e-4"
+    )
+    assert payload["result"]["status"] != "CONVERGED"
+    assert code != 0
+
+
 def test_parse_error_exit_one_with_offset_message():
     code, out, err = run_cli("integrate", "2**x", "x", "0", "1")
     assert code == 1

@@ -9,16 +9,18 @@ from gaugequad import (
     IntegralStatus,
     IntegratorConfig,
     cauchy_closed_form,
+    compile_evaluator,
     enumeration_gauge,
     hake_improper,
     hk_integrate,
     hk_sum_spread,
     integrate_auto,
+    parse,
     rational_enumeration,
     uniform_gauge,
 )
 
-from oracles import FRESNEL_FAMILY, SIN_1, SINC_HALF_PI, mixed_close
+from oracles import ABS_SIN_EXP, FRESNEL_FAMILY, SIN_1, SINC_HALF_PI, mixed_close
 
 UNIT = ClosedInterval(0.0, 1.0)
 
@@ -149,6 +151,18 @@ def test_hake_two_sided_gaussian():
     )
     assert res.status is IntegralStatus.CONVERGED
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_hake_kinked_rungs_meet_the_tolerance(tol):
+    # The rungs [2, 4] and [4, 8] each hold one kink of |sin x| (at pi and
+    # 2 pi), where the plain midpoint gaps shrink 4x like a smooth row's.
+    # A Romberg step trusted without the plain-gap guard settles them
+    # about 4e-8 off and misses tol = 1e-8.
+    f = compile_evaluator(parse("abs(sin(x))*exp(-x)"), ("x",))
+    res = hake_improper(f, ClosedInterval(0.0, math.inf), IntegratorConfig(tol=tol))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - ABS_SIN_EXP) <= tol * (1.0 + abs(res.value))
 
 
 def test_hake_growth_diverges():
