@@ -553,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gauge", default=None, metavar="NAME:PARAMS", help=_parse_gauge.__doc__
     )
     common.add_argument(
-        "--singular", default=None, metavar="P1,P2", help="known singular points"
+        "--singular", default=None, metavar="P1,P2",
+        help="known singular points; only those in the target pinch the gauge",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--trace", action="store_true", help="include refinement trace")

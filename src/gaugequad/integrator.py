@@ -67,10 +67,10 @@ class IntegratorConfig:
     tol is a mixed tolerance: a comparison passes when the discrepancy
     is at most tol + tol * |value|.  singular_points lists finite points
     where the integrand may be undefined or wild; the gauge schedule
-    pinches around them.  gauge_override, when set, is intersected with
-    every gauge of the schedule (this is how a custom enumeration gauge
-    is pushed into the engine).  max_cells caps the cells of one fine
-    partition and sizes nothing else.
+    pinches around those in the target.  gauge_override, when set, is
+    intersected with every gauge of the schedule (this is how a custom
+    enumeration gauge is pushed into the engine).  max_cells caps the
+    cells of one fine partition and sizes nothing else.
     """
 
     tol: float = 1e-8
@@ -255,13 +255,14 @@ def hk_integrate(
 ) -> IntegralResult:
     """Integrate from the definition via a schedule of shrinking gauges.
 
-    Level k uses windows of width delta0 * 2**-k (tail rays pushed out
-    by the same factor) pinched quadratically around declared singular
-    points.  Each level makes ``stability_runs`` fine partitions that
-    share one bisection tree (which cells are accepted does not depend on
-    the tags) and draw their tags from independent generators; the run
-    spread plus the gap to the previous level is the empirical error.
-    CONVERGED requires both below the mixed tolerance.
+    Level k uses windows of width delta0 * 2**-k (tail rays pushed out by
+    the same factor), pinched quadratically around the declared singular
+    points that lie in the target.  Each level makes ``stability_runs``
+    fine partitions that share one bisection tree (which cells are accepted
+    does not depend on the tags) and draw their tags from independent
+    generators; the run spread plus the gap to the previous level is the
+    empirical error.  CONVERGED requires both below the mixed tolerance,
+    on a level with more cells than the level before.
 
     Declared singular points where the evaluator is undefined are never
     used as tags: such cells are summed with the nearest defined
@@ -270,12 +271,12 @@ def hk_integrate(
     cfg = cfg or IntegratorConfig()
     lo_f, hi_f = _carve_ends(uniform_gauge(1.0, max(8.0, *_abs_ends(target))), target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
-    points = [p for p in cfg.singular_points]
+    points = [p for p in cfg.singular_points if target.contains(p)]
     undefined = _probe_undefined(fv, points)
     delta0, tail0, scale = _schedule_params(cfg, target)
 
     trace: list[tuple[int, float]] = []
-    evals = 0
+    evals = prev_n = 0
     means: list[float] = []
     last_err = math.inf
     message = ""
@@ -303,12 +304,12 @@ def hk_integrate(
         means.append(mean_k)
         gap = abs(mean_k - means[-2]) if len(means) >= 2 else math.inf
         last_err = max(spread, gap)
-        if k >= cfg.min_levels and last_err <= cfg.mixed_tol(mean_k):
+        fresh, prev_n = n != prev_n, n  # same cell count: a repeated partition
+        if k >= cfg.min_levels and fresh and last_err <= cfg.mixed_tol(mean_k):
             return IntegralResult(
                 mean_k, last_err, IntegralStatus.CONVERGED, evals, trace
             )
-        scale0 = max(1.0, abs(means[0]))
-        if abs(mean_k) > 1e12 * scale0:
+        if abs(mean_k) > 1e12 * max(1.0, abs(means[0])):
             return IntegralResult(
                 mean_k,
                 last_err,
@@ -326,11 +327,9 @@ def hk_integrate(
                 trace,
                 message="Riemann sums oscillate without shrinking across refinements",
             )
-    value = means[-1] if means else math.nan
-    err = last_err if means else math.inf
     return IntegralResult(
-        value,
-        err,
+        means[-1] if means else math.nan,
+        last_err,
         IntegralStatus.INCONCLUSIVE,
         evals,
         trace,

@@ -206,9 +206,9 @@ DIGESTS = {
     ('hk', 'enum-half', 0): '167ca3c82b6194ef',
     ('hk', 'enum-half', 1): 'c612d4709bba1a43',
     ('hk', 'enum-half', 2): '26622bd30d9a002a',
-    ('hk', 'enum-unit', 0): '53ca452a52ae6995',
-    ('hk', 'enum-unit', 1): '26672f8837df7b18',
-    ('hk', 'enum-unit', 2): '286adda9d3293d88',
+    ('hk', 'enum-unit', 0): 'f1683c262c065611',
+    ('hk', 'enum-unit', 1): 'f649a35e398a2462',
+    ('hk', 'enum-unit', 2): '30dd1fd0c329a96a',
     ('hk', 'gauss-line', 0): '82cb8f7da32b122c',
     ('hk', 'gauss-line', 1): 'e483d8ff7b4253ea',
     ('hk', 'gauss-line', 2): 'fef3569468ec8a38',
