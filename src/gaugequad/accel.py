@@ -41,7 +41,7 @@ def aitken_sweep(s: np.ndarray) -> np.ndarray:
     return s[2:] - correction
 
 
-def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
+def shanks_columns(matrix: np.ndarray):
     """Columnwise iterated Aitken: limits and two-sided error gauges.
 
     Each column's error estimate combines the Cauchy gap at the deepest
@@ -57,10 +57,7 @@ def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
     prev_tail = s[-1].copy()
     gap = np.abs(s[-1] - s[-2])
     sweep_change = gap.copy()
-    sweeps = max_sweeps if max_sweeps is not None else (s.shape[0] - 1) // 2
-    for _ in range(sweeps):
-        if s.shape[0] < 3:
-            break
+    for _ in range((s.shape[0] - 1) // 2):
         s = aitken_sweep(s)
         gap = np.abs(s[-1] - s[-2]) if s.shape[0] >= 2 else gap
         sweep_change = np.abs(s[-1] - prev_tail)
@@ -68,9 +65,9 @@ def shanks_columns(matrix: np.ndarray, max_sweeps: int | None = None):
     return prev_tail, np.maximum(gap, sweep_change)
 
 
-def shanks_limit(seq, max_sweeps: int | None = None) -> tuple[float, float]:
+def shanks_limit(seq) -> tuple[float, float]:
     """``shanks_columns`` on a 1-D sequence: (limit, error gauge)."""
-    est, err = shanks_columns(np.asarray(seq, dtype=float)[:, None], max_sweeps)
+    est, err = shanks_columns(np.asarray(seq, dtype=float)[:, None])
     return float(est[0]), float(err[0])
 
 

@@ -10,9 +10,12 @@ mechanism that lets badly unbounded derivatives integrate.
 over exhausting subintervals (the two notions agree whenever either
 exists).  Cutoffs double toward an infinite endpoint and halve their
 distance to a finite singular one; partial integrals are accelerated
-with iterated Aitken extrapolation.  Divergence is decided on the raw
-cutoff sequence only, never on accelerated values, so extrapolation
-cannot manufacture convergence for a divergent integrand.
+with iterated Aitken extrapolation.
+
+Both are limits of raw sequences (level means, cutoff integrals), and
+one raw-limit monitor, ``_divergence``, decides divergence for both on
+the raw values only, never on accelerated ones, so extrapolation cannot
+manufacture convergence for a divergent integrand.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .accel import shanks_limit, window_oscillation
 from .extreal import NEG_INF, POS_INF, ClosedInterval
 from .gauge import Gauge, intersect_gauges, singularity_gauge, uniform_gauge
 from .partition import (
-    DEFAULT_MAX_CELLS,
     CellBudgetExceeded,
     _as_vector_fn,
     _carve_ends,
@@ -69,8 +71,7 @@ class IntegratorConfig:
     where the integrand may be undefined or wild; the gauge schedule
     pinches around those in the target.  gauge_override, when set, is
     intersected with every gauge of the schedule (this is how a custom
-    enumeration gauge is pushed into the engine).  max_cells caps the
-    cells of one fine partition and sizes nothing else.
+    enumeration gauge is pushed into the engine).
     """
 
     tol: float = 1e-8
@@ -81,8 +82,6 @@ class IntegratorConfig:
     singular_points: tuple[float, ...] = ()
     sharpness_scale: float = 0.02
     delta0: Optional[float] = None
-    tail0: Optional[float] = None
-    max_cells: int = DEFAULT_MAX_CELLS
     min_levels: int = 2
     gauge_override: Optional[Gauge] = field(default=None, compare=False)
 
@@ -168,7 +167,7 @@ def _schedule_params(cfg: IntegratorConfig, target: ClosedInterval) -> tuple[flo
     else:
         delta0 = cfg.delta0 if cfg.delta0 is not None else max(1.0, *(ends or [1.0]))
         scale = max(1.0, *(ends or [1.0]))
-    tail0 = cfg.tail0 if cfg.tail0 is not None else max(8.0, *(2.0 * e for e in ends)) if ends else 8.0
+    tail0 = max([8.0, *(2.0 * e for e in ends)])
     return float(delta0), float(tail0), float(scale)
 
 
@@ -223,31 +222,35 @@ def _streamed_sum(
         emit=emit,
         policy=policy,
         max_depth=cfg.max_depth,
-        max_cells=cfg.max_cells,
         undefined_tags=undefined,
     )
     return totals, evals
 
 
-def _oscillation_stalled(values: Sequence[float], tol_floor: float) -> bool:
-    """True when the last windows of the sequence stopped shrinking.
+def _grew(values: Sequence[float]) -> bool:
+    return abs(values[-1]) > 1e12 * max(1.0, abs(values[0]))
 
-    Window oscillations (width 5) must decay by a factor of at least 0.9
-    per step; four consecutive failures above the tolerance floor signal
-    a drifting or oscillating non-convergent sequence.
+
+def _divergence(values: Sequence[float], tol_floor: float, noun: str, step: str) -> str:
+    """Why the raw sequence ``values`` cannot converge, or "" while it may.
+
+    Fires on growth beyond 1e12 x the first value's scale, or on window
+    oscillations (width 5) that fail to decay by a factor of 0.9 four
+    times running above ``tol_floor``; a stalled sequence whose last five
+    values move one way by ever larger steps is reported as growing.
     """
+    if _grew(values):
+        return f"{noun} grew beyond 1e12 x initial scale at {step} {len(values) - 1}"
     osc = window_oscillation(values, 5)
-    if len(osc) < 5:
-        return False
     bad = 0
     for prev, cur in zip(osc[:-1], osc[1:]):
-        if cur > 0.9 * prev and cur > tol_floor:
-            bad += 1
-            if bad >= 4:
-                return True
-        else:
-            bad = 0
-    return False
+        bad = bad + 1 if cur > 0.9 * prev and cur > tol_floor else 0
+        if bad >= 4:
+            d = np.diff(values[-5:])
+            if (np.all(d > 0) or np.all(d < 0)) and np.all(np.abs(d[1:]) >= np.abs(d[:-1])):
+                return f"{noun} grow by ever larger steps as the {step} grows"
+            return f"{noun} oscillate without decay as the {step} grows"
+    return ""
 
 
 def hk_integrate(
@@ -262,7 +265,8 @@ def hk_integrate(
     does not depend on the tags) and draw their tags from independent
     generators; the run spread plus the gap to the previous level is the
     empirical error.  CONVERGED requires both below the mixed tolerance,
-    on a level with more cells than the level before.
+    on a level with more cells than the level before.  DIVERGED comes
+    from the raw-limit monitor on the level means.
 
     Declared singular points where the evaluator is undefined are never
     used as tags: such cells are summed with the nearest defined
@@ -309,24 +313,9 @@ def hk_integrate(
             return IntegralResult(
                 mean_k, last_err, IntegralStatus.CONVERGED, evals, trace
             )
-        if abs(mean_k) > 1e12 * max(1.0, abs(means[0])):
-            return IntegralResult(
-                mean_k,
-                last_err,
-                IntegralStatus.DIVERGED,
-                evals,
-                trace,
-                message=f"Riemann sums grew beyond 1e12 x initial scale at refinement {k}",
-            )
-        if _oscillation_stalled(means, 100.0 * cfg.mixed_tol(mean_k)):
-            return IntegralResult(
-                mean_k,
-                last_err,
-                IntegralStatus.DIVERGED,
-                evals,
-                trace,
-                message="Riemann sums oscillate without shrinking across refinements",
-            )
+        why = _divergence(means, 100.0 * cfg.mixed_tol(mean_k), "Riemann sums", "refinement")
+        if why:
+            return IntegralResult(mean_k, last_err, IntegralStatus.DIVERGED, evals, trace, why)
     return IntegralResult(
         means[-1] if means else math.nan,
         last_err,
@@ -510,31 +499,22 @@ def _lobe_slab(
     return np.empty(0), c, evals
 
 
-@dataclass
-class _SideOutcome:
-    value: float
-    err: float
-    status: IntegralStatus
-    anchors: list[float]
-    evals: int
-    message: str = ""
-
-
 def _exhaust_side(
     fv,
     frm: float,
-    to_is_inf: bool,
-    to_finite: Optional[float],
+    to: Optional[float],
     cfg: IntegratorConfig,
-) -> _SideOutcome:
+) -> IntegralResult:
     """Limit of int_frm^c as the cutoff c runs toward the improper end.
 
-    Cutoffs double away from ``frm`` toward +oo, or halve their distance
-    to a finite endpoint.  Between consecutive cutoffs the integrand is
-    split at its sign changes so the sequence of partial integrals at
-    segment boundaries is nearly alternating, which iterated Aitken
-    extrapolation accelerates well.  Divergence verdicts use the raw
-    cutoff integrals only.
+    Cutoffs double away from ``frm`` toward +oo (``to`` is None), or
+    halve their distance to the finite endpoint ``to``.  Between
+    consecutive cutoffs the integrand is split at its sign changes so the
+    sequence of partial integrals at segment boundaries is nearly
+    alternating, which iterated Aitken extrapolation accelerates well.
+    The cutoff integrals, one per rung and one trace entry each, feed the
+    raw-limit monitor ``_divergence``; accelerated values only ever
+    decide convergence.
 
     ``cfg`` is taken in the side's own coordinates: for a left-side run
     the caller reflects singular points and any gauge override.
@@ -559,8 +539,12 @@ def _exhaust_side(
     # the much cheaper uniform midpoint refinement, whose rows settle on
     # the plain midpoint sums or on one guarded Romberg step.
     via_gauge = cfg.gauge_override is not None or bool(cfg.singular_points)
+
+    def result(value, err, status, message=""):
+        return IntegralResult(value, err, status, evals, list(enumerate(anchors)), message)
+
     for j in range(cfg.max_refinements + 1):
-        if to_is_inf:
+        if to is None:
             if j == 0:
                 c_target = max(1.0, frm + max(1.0, abs(frm)))
             else:
@@ -568,8 +552,8 @@ def _exhaust_side(
             if not c_target > prev_edge:
                 break
         else:
-            c_target = prev_edge + 0.5 * (to_finite - prev_edge)
-            if not prev_edge < c_target < to_finite:
+            c_target = prev_edge + 0.5 * (to - prev_edge)
+            if not prev_edge < c_target < to:
                 break
         rung_lo = prev_edge
         if via_gauge:
@@ -585,27 +569,11 @@ def _exhaust_side(
                 ),
             )
             evals += sub.evaluations
-            if sub.status is IntegralStatus.DIVERGED:
-                return _SideOutcome(
-                    total,
-                    math.inf,
-                    IntegralStatus.DIVERGED,
-                    anchors,
-                    evals,
-                    message=f"the piece over [{rung_lo!r}, {c!r}] diverged",
-                )
             if sub.status is not IntegralStatus.CONVERGED:
-                return _SideOutcome(
-                    total,
-                    math.inf,
-                    IntegralStatus.INCONCLUSIVE,
-                    anchors,
-                    evals,
-                    message=(
-                        f"the piece over [{rung_lo!r}, {c!r}] "
-                        "did not settle within budget"
-                    ),
-                )
+                diverged = sub.status is IntegralStatus.DIVERGED
+                how = "diverged" if diverged else "did not settle within budget"
+                piece = f"the piece over [{rung_lo!r}, {c!r}] {how}"
+                return result(total, math.inf, sub.status, piece)
             total += sub.value
             boundary_sums.append(total)
         else:
@@ -643,16 +611,12 @@ def _exhaust_side(
             if resid > max(100.0 * cfg.tol, 0.02 * mon_scale):
                 # The slab could not be resolved within budget; its sum
                 # would poison both the value and the monitors.
-                return _SideOutcome(
+                return result(
                     total,
                     math.inf,
                     IntegralStatus.INCONCLUSIVE,
-                    anchors,
-                    evals,
-                    message=(
-                        f"ran out of resolvable rungs at [{rung_lo!r}, {c!r}] "
-                        f"(unresolved residue {resid:.2e})"
-                    ),
+                    f"ran out of resolvable rungs at [{rung_lo!r}, {c!r}] "
+                    f"(unresolved residue {resid:.2e})",
                 )
             rough += resid
             if inner.size >= 32:
@@ -661,39 +625,19 @@ def _exhaust_side(
                 total += float(v)
                 boundary_sums.append(total)
         anchors.append(total)
-        scale0 = max(1.0, abs(anchors[0]))
-        if abs(total) > 1e12 * scale0:
-            return _SideOutcome(
-                total,
-                abs(total),
-                IntegralStatus.DIVERGED,
-                anchors,
-                evals,
-                message=f"cutoff integrals grew beyond 1e12 x initial scale at cutoff {j}",
-            )
-        tol_floor = 10.0 * cfg.mixed_tol(total)
-        if _oscillation_stalled(anchors, tol_floor):
-            return _SideOutcome(
-                total,
-                float(np.ptp(anchors[-5:])),
-                IntegralStatus.DIVERGED,
-                anchors,
-                evals,
-                message="cutoff integrals oscillate without decay as the cutoff grows",
-            )
-        converged, value, err = _exhaust_converged(
-            boundary_sums, anchors, cfg, rough, accel_hist
-        )
+        why = _divergence(anchors, 10.0 * cfg.mixed_tol(total), "cutoff integrals", "cutoff")
+        if why:
+            err = abs(total) if _grew(anchors) else float(np.ptp(anchors[-5:]))
+            return result(total, err, IntegralStatus.DIVERGED, why)
+        converged, value, err = _exhaust_converged(boundary_sums, anchors, cfg, rough, accel_hist)
         if converged:
-            return _SideOutcome(value, err, IntegralStatus.CONVERGED, anchors, evals)
+            return result(value, err, IntegralStatus.CONVERGED)
         prev_edge = c
-    return _SideOutcome(
+    return result(
         anchors[-1] if anchors else math.nan,
         abs(anchors[-1] - anchors[-2]) if len(anchors) >= 2 else math.inf,
         IntegralStatus.INCONCLUSIVE,
-        anchors,
-        evals,
-        message="cutoff budget exhausted before the tolerance was met",
+        "cutoff budget exhausted before the tolerance was met",
     )
 
 
@@ -701,8 +645,8 @@ def _exhaust_converged(
     boundary_sums: list[float],
     anchors: list[float],
     cfg: IntegratorConfig,
-    rough: float = 0.0,
-    accel_hist: Optional[list[float]] = None,
+    rough: float,
+    accel_hist: list[float],
 ) -> tuple[bool, float, float]:
     """Convergence decision for an exhaustion run.
 
@@ -729,16 +673,15 @@ def _exhaust_converged(
     if err_a < err:
         est, err = est_a, err_a
     err = max(err, rough)
-    if accel_hist is not None and math.isfinite(est):
+    if math.isfinite(est):
         accel_hist.append(est)
-    if decaying and err <= cfg.mixed_tol(est):
-        if (
-            accel_hist is not None
-            and len(accel_hist) >= 2
-            and abs(accel_hist[-1] - accel_hist[-2]) <= 0.5 * cfg.mixed_tol(est)
-        ):
-            err = max(err, abs(accel_hist[-1] - accel_hist[-2]))
-            return True, est, err
+    if (
+        decaying
+        and err <= cfg.mixed_tol(est)
+        and len(accel_hist) >= 2
+        and abs(accel_hist[-1] - accel_hist[-2]) <= 0.5 * cfg.mixed_tol(est)
+    ):
+        return True, est, max(err, abs(accel_hist[-1] - accel_hist[-2]))
     return False, math.nan, math.inf
 
 
@@ -762,9 +705,10 @@ def hake_improper(
 
     Equivalent in value to ``hk_integrate`` whenever either converges;
     this is the practical route for infinite intervals and endpoint
-    singularities.  Status DIVERGED is decided on the raw sequence of
-    cutoff integrals (unbounded growth, or window oscillation that stops
-    decaying); INCONCLUSIVE means the cutoff budget ran out first.
+    singularities.  Each side's raw cutoff integrals feed the raw-limit
+    monitor, which reports DIVERGED on growth or on window oscillation
+    that stops decaying; INCONCLUSIVE means the cutoff budget ran out
+    first.  The sides' results are summed and their traces concatenated.
     """
     cfg = cfg or IntegratorConfig()
     lo, hi = target.lo, target.hi
@@ -784,13 +728,12 @@ def hake_improper(
         anchor = 0.0 if lo.as_float() < 0.0 < hi.as_float() else mid_probe
     else:
         anchor = lo.value if not left else hi.value
-    sides: list[_SideOutcome] = []
+    sides: list[IntegralResult] = []
     if right:
         sides.append(
             _exhaust_side(
                 fv,
                 anchor,
-                hi == POS_INF,
                 hi.value if hi.is_finite else None,
                 cfg,
             )
@@ -811,22 +754,16 @@ def hake_improper(
             _exhaust_side(
                 refl,
                 -anchor,
-                lo == NEG_INF,
                 -lo.value if lo.is_finite else None,
                 cfg_left,
             )
         )
     value = sum(s.value for s in sides)
-    err = sum(s.err for s in sides)
-    evals = sum(s.evals for s in sides)
-    trace = list(enumerate(float(a) for s in sides for a in s.anchors))
-    statuses = [s.status for s in sides]
-    if IntegralStatus.DIVERGED in statuses:
-        status = IntegralStatus.DIVERGED
-    elif IntegralStatus.INCONCLUSIVE in statuses:
-        status = IntegralStatus.INCONCLUSIVE
-    else:
-        status = IntegralStatus.CONVERGED
+    err = sum(s.error_estimate for s in sides)
+    evals = sum(s.evaluations for s in sides)
+    trace = list(enumerate(v for s in sides for _, v in s.trace))
+    worst_first = (IntegralStatus.DIVERGED, IntegralStatus.INCONCLUSIVE, IntegralStatus.CONVERGED)
+    status = next(st for st in worst_first if st in {s.status for s in sides})
     message = "; ".join(s.message for s in sides if s.message)
     return IntegralResult(value, err, status, evals, trace, message=message)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -226,6 +227,56 @@ def test_cauchy_divergent_family(branch):
         IntegratorConfig(tol=1e-4),
     )
     assert res.status is IntegralStatus.DIVERGED
+
+
+# Every DIVERGED exit of the raw-limit monitor, on both limits.  The
+# digests of (value, error_estimate, status, evaluations, trace) were
+# frozen before the two monitors became one; the messages name the test
+# that fired, and monotone growth with growing steps is not reported as
+# oscillation.
+HALF_LINE = ClosedInterval(0.0, math.inf)
+DIVERGED_CASES = {
+    "hk-exp": (
+        lambda: hk_integrate(np.exp, HALF_LINE, IntegratorConfig(tol=1e-6)),
+        "3d10af58199a96bc",
+        "Riemann sums grew beyond 1e12 x initial scale at refinement 3",
+    ),
+    "hk-sin": (
+        lambda: hk_integrate(np.sin, HALF_LINE, IntegratorConfig(tol=1e-6)),
+        "e6008caa1e57fbfd",
+        "Riemann sums oscillate without decay as the refinement grows",
+    ),
+    "hake-exp": (
+        lambda: hake_improper(np.exp, HALF_LINE),
+        "a09b91e9bd4bcc28",
+        "cutoff integrals grew beyond 1e12 x initial scale at cutoff 5",
+    ),
+    "hake-inv-square": (
+        lambda: hake_improper(
+            lambda x: 1.0 / x**2, UNIT, IntegratorConfig(singular_points=(0.0,))
+        ),
+        "78a2905e66910ef2",
+        "cutoff integrals grow by ever larger steps as the cutoff grows",
+    ),
+    # Monotone last steps that shrink (0.73, 0.23, 0.013, 0.10): oscillation.
+    "hake-cauchy-sin": (
+        lambda: hake_improper(
+            lambda x: x * np.sin(x * x) * np.sin(x), HALF_LINE, IntegratorConfig(tol=1e-4)
+        ),
+        "ad7f01ed12b60717",
+        "cutoff integrals oscillate without decay as the cutoff grows",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGED_CASES))
+def test_every_diverged_exit_is_pinned(name):
+    run, digest, message = DIVERGED_CASES[name]
+    r = run()
+    assert r.status is IntegralStatus.DIVERGED
+    assert r.message == message
+    got = (r.value, r.error_estimate, r.status.value, r.evaluations, r.trace)
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == digest
 
 
 # -- oscillatory convergent family ---------------------------------------------
