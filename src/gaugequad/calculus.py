@@ -327,33 +327,18 @@ def _inner_probe(inner: Callable, samples: np.ndarray) -> Optional[str]:
     return None
 
 
-class _NestedSide:
-    """Outer integral whose integrand rows are inner midpoint integrals."""
+def _nested_side(h: Callable, inner_lo: float, inner_hi: float, inner_tol: float, swap: bool):
+    """Outer integrand whose values are inner midpoint integrals of h over
+    [inner_lo, inner_hi], in h's first slot when ``swap``; NaN where an
+    inner integral did not settle."""
+    f2 = (lambda u, v: h(v, u)) if swap else h
 
-    def __init__(
-        self,
-        h: Callable,
-        inner_lo: float,
-        inner_hi: float,
-        inner_tol: float,
-        swap: bool,
-    ):
-        self.h = h
-        self.inner_lo = inner_lo
-        self.inner_hi = inner_hi
-        self.inner_tol = inner_tol
-        self.swap = swap
-
-    def __call__(self, us):
+    def side(us):
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        if self.swap:
-            f2 = lambda u, v: self.h(v, u)
-        else:
-            f2 = self.h
-        vals, ok = _batched_inner(
-            f2, us, self.inner_lo, self.inner_hi, self.inner_tol
-        )
+        vals, ok = _batched_inner(f2, us, inner_lo, inner_hi, inner_tol)
         return np.where(ok, vals, np.nan)
+
+    return side
 
 
 def _improper_inner_side(h: Callable, inner: ClosedInterval, cfg: IntegratorConfig):
@@ -379,7 +364,7 @@ def _inner_side(h: Callable, y_int: ClosedInterval, inner_tol: float, cfg: Integ
     """u -> int over y_int of h(u, y) dy: batched midpoint rows when y_int
     is bounded, per-point improper integrals when it is not."""
     if y_int.is_bounded:
-        return _NestedSide(h, y_int.lo.value, y_int.hi.value, inner_tol, swap=False)
+        return _nested_side(h, y_int.lo.value, y_int.hi.value, inner_tol, swap=False)
     return _improper_inner_side(h, y_int, cfg.with_(tol=inner_tol))
 
 
@@ -402,28 +387,30 @@ def _window_side(
         return IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note), note
 
 
-def _integral_sides_for_window(
+def _window_comparison(
     h: Callable,
     rect: Rectangle,
     window: Window,
     cfg: IntegratorConfig,
-) -> tuple[IntegralResult, IntegralResult, str]:
-    """LHS = int_s^t int_a^b h dy dx and RHS = int_a^b int_s^t h dx dy."""
+) -> WindowComparison:
+    """LHS = int_s^t int_a^b h dy dx against RHS = int_a^b int_s^t h dx dy."""
     inner_tol = cfg.tol / 32.0
     outer_cfg = cfg.with_(tol=cfg.tol / 2.0)
 
     lhs_fn = _inner_side(h, rect.y_interval, inner_tol, cfg)
+    note = None
     if not rect.y_interval.is_bounded:
         note = _inner_probe(lhs_fn.one, _probe_points(window.s, window.t))
-        if note:
-            nan = IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note)
-            return nan, nan, note
-    lhs, lhs_note = _window_side(lhs_fn, window.interval(), outer_cfg, "lhs inner integral")
-
-    rhs_inner = _NestedSide(h, window.s, window.t, inner_tol, swap=True)
-    rhs_cfg = outer_cfg.with_(singular_points=())
-    rhs, rhs_note = _window_side(rhs_inner, rect.y_interval, rhs_cfg, "rhs inner integral")
-    return lhs, rhs, "; ".join(n for n in (lhs_note, rhs_note) if n)
+    if note:
+        lhs = rhs = IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, 0, [], note)
+    else:
+        lhs, lhs_note = _window_side(lhs_fn, window.interval(), outer_cfg, "lhs inner integral")
+        rhs_inner = _nested_side(h, window.s, window.t, inner_tol, swap=True)
+        rhs_cfg = outer_cfg.with_(singular_points=())
+        rhs, rhs_note = _window_side(rhs_inner, rect.y_interval, rhs_cfg, "rhs inner integral")
+        note = "; ".join(n for n in (lhs_note, rhs_note) if n)
+    gap, verdict, vdetail = _window_verdict(lhs, rhs, cfg.tol)
+    return WindowComparison(window, lhs.value, rhs.value, gap, verdict, note or vdetail)
 
 
 def _probe_points(lo: float, hi: float) -> np.ndarray:
@@ -653,13 +640,7 @@ def diff_under_integral(
         rect.x_interval, xs, (0.125, 0.375, 0.625, 0.875), 256.0,
         lambda x, u: float(F_in(u)[0]), F1_in,
     )
-    comps = []
-    for win in wins:
-        lhs, rhs, detail = _integral_sides_for_window(f1, rect, win, cfg)
-        gap, verdict, vdetail = _window_verdict(lhs, rhs, cfg.tol)
-        comps.append(
-            WindowComparison(win, lhs.value, rhs.value, gap, verdict, detail or vdetail)
-        )
+    comps = [_window_comparison(f1, rect, win, cfg) for win in wins]
     notes = [_PRESET_NOTES[preset]]
     notes.append(_second_identity_note(f, f1, rect, wins[0], cfg))
     return InterchangeReport(
@@ -725,13 +706,7 @@ def interchange_iterated(
         rect.x_interval, xs, (0.3, 0.55, 0.8), 128.0,
         _segment(inner, cfg.with_(tol=cfg.tol / 2.0)), inner,
     )
-    comps = []
-    for win in wins:
-        lhs, rhs, detail = _integral_sides_for_window(g, rect, win, cfg)
-        gap, verdict, vdetail = _window_verdict(lhs, rhs, cfg.tol)
-        comps.append(
-            WindowComparison(win, lhs.value, rhs.value, gap, verdict, detail or vdetail)
-        )
+    comps = [_window_comparison(g, rect, win, cfg) for win in wins]
     return InterchangeReport(
         windows=tuple(comps),
         pointwise=pointwise,

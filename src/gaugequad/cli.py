@@ -370,6 +370,13 @@ def _report_exit(report) -> int:
     return _VERDICT_EXIT[report.overall.value]
 
 
+def _rect_inputs(args, rect: Rectangle, cfg: IntegratorConfig) -> dict:
+    """The --json inputs of the commands that check a rectangle."""
+    ends = (rect.x_interval.lo, rect.x_interval.hi, rect.y_interval.lo, rect.y_interval.hi)
+    inputs = {k: _json_float(e.as_float()) for k, e in zip(("x_lo", "x_hi", "y_lo", "y_hi"), ends)}
+    return {"x_var": args.x_var, "y_var": args.y_var, **inputs, "options": _options_dict(cfg, args)}
+
+
 def _rectangle(args) -> Rectangle:
     rect = Rectangle(
         _interval(args.x_lo, args.x_hi), _interval(args.y_lo, args.y_hi)
@@ -399,13 +406,7 @@ def cmd_dui(args) -> int:
         "inputs": {
             "f": args.f,
             "f1": f1_text,
-            "x_var": args.x_var,
-            "y_var": args.y_var,
-            "x_lo": _json_float(rect.x_interval.lo.as_float()),
-            "x_hi": _json_float(rect.x_interval.hi.as_float()),
-            "y_lo": _json_float(rect.y_interval.lo.as_float()),
-            "y_hi": _json_float(rect.y_interval.hi.as_float()),
-            "options": _options_dict(cfg, args),
+            **_rect_inputs(args, rect, cfg),
         },
         "result": report.to_json_dict(),
     }
@@ -422,13 +423,7 @@ def cmd_interchange(args) -> int:
         "command": "interchange",
         "inputs": {
             "g": args.g,
-            "x_var": args.x_var,
-            "y_var": args.y_var,
-            "x_lo": _json_float(rect.x_interval.lo.as_float()),
-            "x_hi": _json_float(rect.x_interval.hi.as_float()),
-            "y_lo": _json_float(rect.y_interval.lo.as_float()),
-            "y_hi": _json_float(rect.y_interval.hi.as_float()),
-            "options": _options_dict(cfg, args),
+            **_rect_inputs(args, rect, cfg),
         },
         "result": report.to_json_dict(),
     }

@@ -107,6 +107,9 @@ class IntegratorConfig:
 
 @dataclass
 class IntegralResult:
+    """``evaluations`` counts Riemann-sum terms (one per run and cell on the
+    gauge route), not integrand points: runs that agree share a point."""
+
     value: float
     error_estimate: float
     status: IntegralStatus
@@ -150,23 +153,19 @@ def _probe_undefined(fv, points: Sequence[float]) -> list[float]:
     return undefined
 
 
-def _finite_geometry(target: ClosedInterval) -> tuple[Optional[float], Optional[float]]:
-    lo = target.lo.value if target.lo.is_finite else None
-    hi = target.hi.value if target.hi.is_finite else None
-    return lo, hi
+def _abs_ends(target: ClosedInterval) -> list[float]:
+    return [abs(e.value) for e in (target.lo, target.hi) if e.is_finite]
 
 
 def _schedule_params(cfg: IntegratorConfig, target: ClosedInterval) -> tuple[float, float, float]:
     """(delta0, tail0, length_scale) defaults derived from the target."""
-    lo, hi = _finite_geometry(target)
-    ends = [abs(v) for v in (lo, hi) if v is not None]
-    if lo is not None and hi is not None:
-        span = hi - lo
-        delta0 = cfg.delta0 if cfg.delta0 is not None else span / 8.0
-        scale = span
+    ends = _abs_ends(target)
+    if target.is_bounded:
+        scale = target.hi.value - target.lo.value
+        delta0 = cfg.delta0 if cfg.delta0 is not None else scale / 8.0
     else:
-        delta0 = cfg.delta0 if cfg.delta0 is not None else max(1.0, *(ends or [1.0]))
-        scale = max(1.0, *(ends or [1.0]))
+        scale = max([1.0, *ends])
+        delta0 = cfg.delta0 if cfg.delta0 is not None else scale
     tail0 = max([8.0, *(2.0 * e for e in ends)])
     return float(delta0), float(tail0), float(scale)
 
@@ -202,14 +201,28 @@ def _streamed_sum(
     undefined: Sequence[float],
 ) -> tuple[np.ndarray, int]:
     """Riemann sums of fine partitions, one per SeedSequence entropy in
-    ``seeds``, from one bisection tree and one evaluation per batch."""
+    ``seeds``, from one bisection tree.
+
+    Each emitted batch evaluates run 0's tags, then only the cells where
+    another run drew a different tag, ``_CHUNK_ELEMS`` points per call;
+    each run's sum is then one dot product over the whole batch.
+    """
     rngs = [np.random.default_rng(s) for s in seeds]
     totals = np.zeros(len(rngs))
     evals = 0
 
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        vals = np.empty(z.size)
+        for s in range(0, z.size, _CHUNK_ELEMS):
+            vals[s : s + _CHUNK_ELEMS] = _eval_checked(fv, z[s : s + _CHUNK_ELEMS])
+        return vals
+
     def emit(tags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
         nonlocal evals
-        vals = _eval_checked(fv, tags.ravel()).reshape(tags.shape)
+        vals = np.tile(evaluate(tags[0]), (tags.shape[0], 1))
+        cols = np.flatnonzero((tags[1:] != tags[0]).any(axis=0))
+        if cols.size:
+            vals[1:, cols] = evaluate(tags[1:, cols].ravel()).reshape(-1, cols.size)
         widths = vs - us
         totals[:] += [np.dot(row, widths) for row in vals]
         evals += tags.size
@@ -273,7 +286,7 @@ def hk_integrate(
     endpoint instead (a null-set modification).
     """
     cfg = cfg or IntegratorConfig()
-    lo_f, hi_f = _carve_ends(uniform_gauge(1.0, max(8.0, *_abs_ends(target))), target)
+    lo_f, hi_f = _carve_ends(uniform_gauge(1.0, max([8.0, *_abs_ends(target)])), target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
     points = [p for p in cfg.singular_points if target.contains(p)]
     undefined = _probe_undefined(fv, points)
@@ -326,12 +339,6 @@ def hk_integrate(
     )
 
 
-def _abs_ends(target: ClosedInterval) -> list[float]:
-    lo, hi = _finite_geometry(target)
-    vals = [abs(v) for v in (lo, hi) if v is not None]
-    return vals or [8.0]
-
-
 def hk_sum_spread(
     f: Callable,
     gauge: Gauge,
@@ -350,7 +357,7 @@ def hk_sum_spread(
         raise ValueError("n_partitions must be at least 1")
     lo_f, hi_f = _carve_ends(gauge, target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
-    undefined = _probe_undefined(fv, cfg.singular_points)
+    undefined = _probe_undefined(fv, [p for p in cfg.singular_points if target.contains(p)])
     sums, _ = _streamed_sum(
         fv,
         gauge,

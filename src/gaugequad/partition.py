@@ -7,14 +7,17 @@ infinite end is a ray, so one cell suffices) and then bisects the finite
 remainder until every cell fits inside the window of one of its
 candidate tags (left end, midpoint, right end).
 
-The bisection engine is vectorized: each round processes the whole
-frontier of still-unaccepted cells as numpy arrays, which is what makes
-partitions of a few million cells affordable.  Accepted cells stream
-through a callback so integration does not have to materialize them.
+The bisection engine is vectorized: each round walks the frontier of
+still-unaccepted cells in cache-sized numpy blocks, which is what makes
+partitions of a few million cells affordable.  The frontier is kept as
+the pieces the blocks split off and is freed as the next one grows, and
+accepted cells stream through a callback, so neither a round nor an
+integration materializes a whole partition.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import permutations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -245,6 +248,20 @@ def _reaches(gauge: Gauge, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(holds, ghi, np.nan), np.where(holds, glo, np.nan)
 
 
+def _take(pieces: deque, k: int) -> Sequence[np.ndarray]:
+    """The next k frontier cells, removed from ``pieces``: a view when one
+    piece holds them all, a block-sized copy otherwise."""
+    parts = []
+    while k:
+        head = pieces.popleft()
+        if head[0].size > k:
+            pieces.appendleft(tuple(a[k:] for a in head))
+            head = tuple(a[:k] for a in head)
+        parts.append(head)
+        k -= head[0].size
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+
+
 def refine_fine_cells(
     gauge: Gauge,
     lo: float,
@@ -272,10 +289,12 @@ def refine_fine_cells(
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
 
-    Each round takes the frontier ``chunk`` cells at a time; the chunk fixes
-    the next frontier (left children, then right children), the draws (one
-    per generator) and the emits (one).  Blocks of ``_BLOCK`` cells only
-    bound the temporaries.
+    The frontier is a list of pieces, the left and then the right children
+    each block split off, chunk by chunk.  Each round takes it ``chunk``
+    cells at a time; the chunk fixes the next frontier's order, the draws
+    (one call per generator) and the emits (one).  Blocks of ``_BLOCK``
+    cells, gathered from consecutive pieces that are dropped once used,
+    only bound the memory: about one frontier plus block-sized temporaries.
 
     Returns the number of accepted cells.  Raises DepthExceeded if some
     cell survives max_depth bisections or, after its chunk's emit, can
@@ -291,19 +310,18 @@ def refine_fine_cells(
     # the left reach of v's; a split hands them to its children, so every
     # round queries the gauge at the new midpoints only.
     reach_r, reach_l = _reaches(gauge, np.array([lo, hi], dtype=float))
-    pend_u, pend_v, pend_ru, pend_lv = np.array([[lo], [hi], reach_r[:1], reach_l[1:]])
-    accepted = 0
+    pieces = deque([(np.array([lo]), np.array([hi]), reach_r[:1], reach_l[1:])])
+    accepted, n = 0, 1
     for depth in range(max_depth + 1):
-        n = pend_u.size
         if accepted + 2 * n > max_cells:
             raise CellBudgetExceeded(f"partition would exceed {max_cells} cells (depth {depth})")
         frontier: list[tuple[np.ndarray, ...]] = []
         for start in range(0, n, chunk):
-            cells = [a[start : start + chunk] for a in (pend_u, pend_v, pend_ru, pend_lv)]
-            draws = np.array([g.integers(0, orders, size=cells[0].size) for g in rngs])
+            size = min(chunk, n - start)
+            draws = np.array([g.integers(0, orders, size=size) for g in rngs])
             got, left, right, stuck = [], [], [], []
-            for b in range(0, cells[0].size, _BLOCK):
-                u, v, ru, lv = (a[b : b + _BLOCK] for a in cells)
+            for b in range(0, size, _BLOCK):
+                u, v, ru, lv = _take(pieces, min(_BLOCK, size - b))
                 m = u + 0.5 * (v - u)
                 splittable = (m > u) & (m < v)
                 rm, lm = _reaches(gauge, m)
@@ -346,10 +364,10 @@ def refine_fine_cells(
             frontier += left + right
         if not frontier:
             return accepted
-        pend_u, pend_v, pend_ru, pend_lv = (np.concatenate(c) for c in zip(*frontier))
+        pieces, n = deque(frontier), sum(p[0].size for p in frontier)
     raise DepthExceeded(
-        f"{pend_u.size} cells still unaccepted at depth {max_depth}; "
-        f"narrowest is [{pend_u[0]!r}, {pend_v[0]!r}]"
+        f"{n} cells still unaccepted at depth {max_depth}; "
+        f"narrowest is [{pieces[0][0][0]!r}, {pieces[0][1][0]!r}]"
     )
 
 

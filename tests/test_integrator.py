@@ -104,6 +104,21 @@ def test_singular_point_outside_the_target_changes_nothing():
     assert fields(outside) == fields(plain)
 
 
+def test_sum_spread_ignores_singular_points_outside_the_target():
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x, dtype=float))
+        return np.where(x == 2.0, np.nan, np.sin(5.0 * x))
+
+    gauge = uniform_gauge(0.05)
+    plain = hk_sum_spread(f, gauge, UNIT, 3)
+    seen.clear()
+    outside = hk_sum_spread(f, gauge, UNIT, 3, IntegratorConfig(singular_points=(2.0,)))
+    assert outside == plain
+    assert not np.isin(2.0, np.concatenate(seen))
+
+
 def test_repeated_partition_does_not_count_toward_convergence():
     # uniform(1/64) dominates the first levels of the schedule, so they
     # build one partition and their level gap is exactly 0.

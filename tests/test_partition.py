@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,34 @@ def test_cell_budget_raises():
         cousin_fine_partition(
             uniform_gauge(1e-5), ClosedInterval(0.0, 1.0), max_cells=1000
         )
+
+
+def test_a_round_holds_about_one_frontier():
+    # A round frees its frontier's pieces as it consumes them, so the peak
+    # is about one frontier (u, v and two reaches: 32 bytes a cell) plus
+    # chunk-sized temporaries.  A round that kept the old frontier, the new
+    # pieces and their concatenation alive at once would need about 3x.
+    g = singularity_gauge(uniform_gauge(1e-2), [0.0], sharpness=6.5e-5)
+
+    def refine(emit):
+        return refine_fine_cells(g, 0.0, 1.0, rngs=[np.random.default_rng(0)], emit=emit)
+
+    widths = []
+    refine(lambda tags, us, vs: widths.append(vs - us))
+    # Round d's frontier is level d of the bisection tree: the cells
+    # accepted there plus the parents of level d + 1.
+    widest = level = 0.0
+    for accepted in np.bincount(np.rint(-np.log2(np.concatenate(widths))).astype(int))[::-1]:
+        level = accepted + level / 2
+        widest = max(widest, level)
+    assert widest > 900_000
+    tracemalloc.start()
+    try:
+        refine(lambda tags, us, vs: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 32 * widest
 
 
 def test_pinched_gauge_partition_stays_valid_and_fine():

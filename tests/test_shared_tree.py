@@ -13,6 +13,7 @@ import pytest
 
 from gaugequad import (
     ClosedInterval,
+    EvaluatorDomainError,
     Gauge,
     IntegratorConfig,
     enumeration_gauge,
@@ -23,7 +24,7 @@ from gaugequad import (
     singularity_gauge,
     uniform_gauge,
 )
-from gaugequad import partition
+from gaugequad import integrator, partition
 from gaugequad.partition import _carve_ends, refine_fine_cells
 
 UNIT = ClosedInterval(0.0, 1.0)
@@ -258,8 +259,8 @@ def test_hk_sum_spread_is_unchanged(name, seed):
 def test_one_tree_and_one_evaluation_per_emit():
     # A counting gauge sees 2c + 1 points for a level whose partitions
     # have c cells each, and the integrand is called once per emitted
-    # batch, however many runs share it.  Every run's tags still count
-    # as evaluations.
+    # batch (of at most _CHUNK_ELEMS cells, all runs agreeing), however
+    # many runs share it.  Every run's tags still count as evaluations.
     seen = [0]
     calls = [0]
 
@@ -287,3 +288,64 @@ def test_one_tree_and_one_evaluation_per_emit():
         results[runs] = (res.evaluations, calls[0])
     assert results[3][0] == 3 * results[1][0]
     assert results[3][1] == results[1][1]
+
+
+def test_runs_that_drew_one_tag_share_its_evaluation():
+    # Under "midpoint_first" a symmetric gauge makes every run tag each
+    # cell at its midpoint, so three runs need one point per cell (after
+    # the two-point probe of the vector adapter) and still count three
+    # Riemann-sum terms per cell.
+    points = [0]
+
+    def f(x):
+        points[0] += np.size(x)
+        return np.sin(3 * x) + x * x
+
+    res = hk_integrate(f, UNIT, IntegratorConfig(tol=1e-6, stability_runs=3))
+    assert res.evaluations % 3 == 0
+    assert points[0] - 2 == res.evaluations // 3
+
+
+def _fine_rough_windows(z):
+    # Asymmetric windows a few 2**-18 wide: on [0, 0.6] one emit of each
+    # hk level holds 67,101 cells, and the runs' endpoint coins pick
+    # different tags in about 1,450 of them.
+    scale = 2.0**-18
+    return z - scale * (0.5 + 2 * _hash01(z, 12.9898)), z + scale * (0.5 + 2 * _hash01(z, 78.233))
+
+
+def test_emit_evaluation_blocks_move_no_bit(monkeypatch):
+    target = ClosedInterval(0.0, 0.6)
+    rough = Gauge(_fine_rough_windows, -1.0, 1.0)
+    cfg = IntegratorConfig(tol=1e-6, max_refinements=1, gauge_override=rough)
+    seen = []
+
+    def f(x):
+        return np.sin(3 * x) + x * x
+
+    def fields(g):
+        r = hk_integrate(g, target, cfg)
+        return r.value, r.error_estimate, r.status, r.evaluations, r.trace
+
+    def recorded(x):
+        seen.append(np.array(x, dtype=float))
+        return f(x)
+
+    ref = fields(recorded)
+    # The first full block starts run 0's row of the large emit, and the
+    # next call is that row's second block.  Poison two of its tags that
+    # no earlier call saw: the first of them in row-major order is named.
+    first = next(i for i, x in enumerate(seen) if x.size == integrator._CHUNK_ELEMS)
+    late = seen[first + 1]
+    late = late[~np.isin(late, np.concatenate(seen[: first + 1]))][[10, 20]]
+
+    def poisoned(x):
+        return np.where((x == late[0]) | (x == late[1]), np.nan, f(x))
+
+    for size in (1, 7, 1 << 16):
+        monkeypatch.setattr(integrator, "_CHUNK_ELEMS", size)
+        assert fields(f) == ref
+        with pytest.raises(EvaluatorDomainError) as bad:
+            hk_integrate(poisoned, target, cfg)
+        assert bad.value.tag == late[0]
+        assert str(bad.value) == f"evaluator returned a non-finite value at tag {float(late[0])!r}"
