@@ -7,12 +7,12 @@ infinite end is a ray, so one cell suffices) and then bisects the finite
 remainder until every cell fits inside the window of one of its
 candidate tags (left end, midpoint, right end).
 
-The bisection engine is vectorized: each round walks the frontier of
-still-unaccepted cells in cache-sized numpy blocks, which is what makes
-partitions of a few million cells affordable.  The frontier is kept as
-the pieces the blocks split off and is freed as the next one grows, and
-accepted cells stream through a callback, so neither a round nor an
-integration materializes a whole partition.
+The bisection engine is vectorized: pending cells wait in one bucket per
+depth and are bisected a chunk at a time in cache-sized numpy blocks, the
+deepest full chunk first, so a wide tree holds about one chunk per depth
+rather than a whole level.  Accepted cells stream through a callback, so
+partitions of a few million cells are affordable and no integration
+materializes a whole one.
 """
 from __future__ import annotations
 
@@ -249,7 +249,7 @@ def _reaches(gauge: Gauge, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _take(pieces: deque, k: int) -> Sequence[np.ndarray]:
-    """The next k frontier cells, removed from ``pieces``: a view when one
+    """The next k pending cells, removed from ``pieces``: a view when one
     piece holds them all, a block-sized copy otherwise."""
     parts = []
     while k:
@@ -273,7 +273,7 @@ def refine_fine_cells(
     max_depth: int = 60,
     max_cells: int = DEFAULT_MAX_CELLS,
     undefined_tags: Sequence[float] = (),
-    chunk: int = 1 << 19,
+    chunk: int = 1 << 16,
 ) -> int:
     """Bisect [lo, hi] into gauge-fine cells, streaming them to ``emit``.
 
@@ -289,17 +289,17 @@ def refine_fine_cells(
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
 
-    The frontier is a list of pieces, the left and then the right children
-    each block split off, chunk by chunk.  Each round takes it ``chunk``
-    cells at a time; the chunk fixes the next frontier's order, the draws
-    (one call per generator) and the emits (one).  Blocks of ``_BLOCK``
-    cells, gathered from consecutive pieces that are dropped once used,
-    only bound the memory: about one frontier plus block-sized temporaries.
+    Pending cells wait in one bucket per depth, as the pieces each block
+    splits off (left children, then right).  A step bisects up to ``chunk``
+    cells of the deepest depth that fills a chunk, else of the shallowest
+    that holds any: a tree that never fills a chunk is walked level by
+    level, a wider one holds about one chunk per depth.  A step makes one
+    draw call per generator and one emit; ``_BLOCK`` bounds temporaries.
 
     Returns the number of accepted cells.  Raises DepthExceeded if some
-    cell survives max_depth bisections or, after its chunk's emit, can
-    neither be split nor tagged, and CellBudgetExceeded if the frontier
-    plus accepted cells would exceed max_cells.
+    cell survives max_depth bisections or, after its step's emit, can
+    neither be split nor tagged, and CellBudgetExceeded if the accepted
+    and pending cells could exceed max_cells after the next step.
     """
     if policy not in _FIRST_FIT:
         raise ValueError(f"unknown tag policy {policy!r}")
@@ -308,67 +308,67 @@ def refine_fine_cells(
     undef = np.array(sorted(set(float(t) for t in undefined_tags)), dtype=float)
     # Each pending cell [u, v] carries the right reach of u's window and
     # the left reach of v's; a split hands them to its children, so every
-    # round queries the gauge at the new midpoints only.
+    # step queries the gauge at the new midpoints only.
     reach_r, reach_l = _reaches(gauge, np.array([lo, hi], dtype=float))
-    pieces = deque([(np.array([lo]), np.array([hi]), reach_r[:1], reach_l[1:])])
-    accepted, n = 0, 1
-    for depth in range(max_depth + 1):
-        if accepted + 2 * n > max_cells:
+    root = (np.array([lo]), np.array([hi]), reach_r[:1], reach_l[1:])
+    pending, sizes, accepted = {0: deque([root])}, {0: 1}, 0
+    while busy := sorted(d for d, n in sizes.items() if n):
+        depth = ([d for d in busy if sizes[d] >= chunk] or busy[:1])[-1]
+        if depth > max_depth:
+            raise DepthExceeded(
+                f"{sizes[depth]} cells still unaccepted at depth {max_depth}; "
+                f"narrowest is [{pending[depth][0][0][0]!r}, {pending[depth][0][1][0]!r}]"
+            )
+        size = min(chunk, sizes[depth])
+        if accepted + sum(sizes.values()) + size > max_cells:
             raise CellBudgetExceeded(f"partition would exceed {max_cells} cells (depth {depth})")
-        frontier: list[tuple[np.ndarray, ...]] = []
-        for start in range(0, n, chunk):
-            size = min(chunk, n - start)
-            draws = np.array([g.integers(0, orders, size=size) for g in rngs])
-            got, left, right, stuck = [], [], [], []
-            for b in range(0, size, _BLOCK):
-                u, v, ru, lv = _take(pieces, min(_BLOCK, size - b))
-                m = u + 0.5 * (v - u)
-                splittable = (m > u) & (m < v)
-                rm, lm = _reaches(gauge, m)
-                ok = [v < ru, splittable & (lm < u) & (v < rm), lv < u]
-                tag_u, tag_m, tag_v = u, m, v
-                if undef.size:
-                    # Replacement tag when the candidate itself is undefined:
-                    # the opposite endpoint for endpoints, the left endpoint
-                    # for the midpoint (falling back to the right).
-                    u_ok, m_ok, v_ok = ~np.isin(np.concatenate((u, m, v)), undef).reshape(3, -1)
-                    tag_u, tag_v = np.where(u_ok, u, v), np.where(v_ok, v, u)
-                    tag_m = np.where(m_ok, m, tag_u)
-                    either = u_ok | v_ok
-                    ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
-                acc = ok[0] | ok[1] | ok[2]
-                ia, ir = acc.nonzero()[0], (~acc).nonzero()[0]
-                if ia.size:
-                    # Each run's first fitting candidate, by flat index into
-                    # first_fit, gathered from the candidates laid end to end.
-                    fits = ok[0] + 2 * ok[1].view(np.uint8) + 4 * ok[2].view(np.uint8)
-                    drawn = draws[:, b : b + _BLOCK].take(ia, axis=1)
-                    chosen = first_fit.take(drawn + orders * fits.take(ia))
-                    tags = np.concatenate((tag_u, tag_m, tag_v)).take(chosen * u.size + ia)
-                    got.append((tags, u.take(ia), v.take(ia)))
-                if ir.size:
-                    if not splittable.all():
-                        stuck += [(u[i], v[i]) for i in ir[~splittable.take(ir)][:1]]
-                    mid = m.take(ir)
-                    left.append((u.take(ir), mid, ru.take(ir), lm.take(ir)))
-                    right.append((mid, v.take(ir), rm.take(ir), lv.take(ir)))
-            if got:
-                tags, us, vs = (p[0] if len(got) == 1 else np.hstack(p) for p in zip(*got))
-                emit(tags, us, vs)
-                accepted += us.size
-            if stuck:
-                raise DepthExceeded(
-                    f"cell [{stuck[0][0]!r}, {stuck[0][1]!r}] cannot be split further "
-                    "and no candidate tag satisfies the gauge"
-                )
-            frontier += left + right
-        if not frontier:
-            return accepted
-        pieces, n = deque(frontier), sum(p[0].size for p in frontier)
-    raise DepthExceeded(
-        f"{n} cells still unaccepted at depth {max_depth}; "
-        f"narrowest is [{pieces[0][0][0]!r}, {pieces[0][1][0]!r}]"
-    )
+        sizes[depth] -= size
+        draws = np.array([g.integers(0, orders, size=size) for g in rngs])
+        got, left, right, stuck = [], [], [], []
+        for b in range(0, size, _BLOCK):
+            u, v, ru, lv = _take(pending[depth], min(_BLOCK, size - b))
+            m = u + 0.5 * (v - u)
+            splittable = (m > u) & (m < v)
+            rm, lm = _reaches(gauge, m)
+            ok = [v < ru, splittable & (lm < u) & (v < rm), lv < u]
+            tag_u, tag_m, tag_v = u, m, v
+            if undef.size:
+                # Replacement tag when the candidate itself is undefined:
+                # the opposite endpoint for endpoints, the left endpoint
+                # for the midpoint (falling back to the right).
+                u_ok, m_ok, v_ok = ~np.isin(np.concatenate((u, m, v)), undef).reshape(3, -1)
+                tag_u, tag_v = np.where(u_ok, u, v), np.where(v_ok, v, u)
+                tag_m = np.where(m_ok, m, tag_u)
+                either = u_ok | v_ok
+                ok = [ok[0] & either, ok[1] & (m_ok | either), ok[2] & either]
+            acc = ok[0] | ok[1] | ok[2]
+            ia, ir = acc.nonzero()[0], (~acc).nonzero()[0]
+            if ia.size:
+                # Each run's first fitting candidate, by flat index into
+                # first_fit, gathered from the candidates laid end to end.
+                fits = ok[0] + 2 * ok[1].view(np.uint8) + 4 * ok[2].view(np.uint8)
+                drawn = draws[:, b : b + _BLOCK].take(ia, axis=1)
+                chosen = first_fit.take(drawn + orders * fits.take(ia))
+                tags = np.concatenate((tag_u, tag_m, tag_v)).take(chosen * u.size + ia)
+                got.append((tags, u.take(ia), v.take(ia)))
+            if ir.size:
+                if not splittable.all():
+                    stuck += [(u[i], v[i]) for i in ir[~splittable.take(ir)][:1]]
+                mid = m.take(ir)
+                left.append((u.take(ir), mid, ru.take(ir), lm.take(ir)))
+                right.append((mid, v.take(ir), rm.take(ir), lv.take(ir)))
+        if got:
+            tags, us, vs = (p[0] if len(got) == 1 else np.hstack(p) for p in zip(*got))
+            emit(tags, us, vs)
+            accepted += us.size
+        if stuck:
+            raise DepthExceeded(
+                f"cell [{stuck[0][0]!r}, {stuck[0][1]!r}] cannot be split further "
+                "and no candidate tag satisfies the gauge"
+            )
+        pending.setdefault(depth + 1, deque()).extend(left + right)
+        sizes[depth + 1] = sizes.get(depth + 1, 0) + 2 * sum(p[0].size for p in left)
+    return accepted
 
 
 def cousin_fine_partition(

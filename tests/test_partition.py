@@ -109,10 +109,10 @@ def _stuck_below(z):
 
 @pytest.mark.parametrize("block", [1, 2, 1 << 14])
 def test_chunk_emits_its_accepted_cells_before_a_stuck_cell_raises(block, monkeypatch):
-    # [1, 1 + 8 ulp] is bisected to eight one-ulp cells in one round and
-    # one chunk.  The stuck [1, 1 + ulp] comes first in frontier order,
-    # so with one cell per block every accepted cell sits in a later
-    # block.  The chunk still emits them all before the stuck cell
+    # [1, 1 + 8 ulp] is bisected to eight one-ulp cells at one depth,
+    # taken in one step.  The stuck [1, 1 + ulp] comes first in pending
+    # order, so with one cell per block every accepted cell sits in a
+    # later block.  The step still emits them all before the stuck cell
     # raises, so an integrand error in that emit is the one reported.
     monkeypatch.setattr(partition, "_BLOCK", block)
     gauge = Gauge(_stuck_below, -1.0, 1.0)
@@ -146,11 +146,12 @@ def test_cell_budget_raises():
         )
 
 
-def test_a_round_holds_about_one_frontier():
-    # A round frees its frontier's pieces as it consumes them, so the peak
-    # is about one frontier (u, v and two reaches: 32 bytes a cell) plus
-    # chunk-sized temporaries.  A round that kept the old frontier, the new
-    # pieces and their concatenation alive at once would need about 3x.
+def test_a_wide_tree_holds_less_than_its_widest_level():
+    # Once a depth fills a chunk the bisection goes depth first, so the
+    # pending cells (u, v and two reaches: 32 bytes a cell) stay at about
+    # one chunk per depth plus block-sized temporaries.  A level-by-level
+    # walk would hold at least the widest level, and its children as they
+    # are made.
     g = singularity_gauge(uniform_gauge(1e-2), [0.0], sharpness=6.5e-5)
 
     def refine(emit):
@@ -158,8 +159,8 @@ def test_a_round_holds_about_one_frontier():
 
     widths = []
     refine(lambda tags, us, vs: widths.append(vs - us))
-    # Round d's frontier is level d of the bisection tree: the cells
-    # accepted there plus the parents of level d + 1.
+    # Level d of the bisection tree holds the cells accepted there plus
+    # the parents of level d + 1.
     widest = level = 0.0
     for accepted in np.bincount(np.rint(-np.log2(np.concatenate(widths))).astype(int))[::-1]:
         level = accepted + level / 2
@@ -171,7 +172,54 @@ def test_a_round_holds_about_one_frontier():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 32 * widest
+    assert peak < 32 * widest
+
+
+def test_the_accepted_cells_do_not_depend_on_the_chunk():
+    # Which cells are accepted depends on the gauge alone, and so do their
+    # "midpoint_first" tags under a symmetric gauge; the chunk only orders
+    # the walk (level by level at 1 << 19, depth first at 64 and below).
+    # The gauge is still asked each point of the tree once, and a budget
+    # stop never lets more cells out than the budget.
+    g = singularity_gauge(uniform_gauge(0.02), [0.0], sharpness=0.05)
+    asked = []
+
+    def counted(z):
+        asked.append(z.size)
+        return g.window_fn(z)
+
+    def rows(chunk):
+        out = []
+        refine_fine_cells(
+            Gauge(counted, g.neg_ray, g.pos_ray),
+            0.0,
+            1.0,
+            rngs=[np.random.default_rng(0)],
+            emit=lambda tags, us, vs: out.extend(zip(tags[0].tolist(), us.tolist(), vs.tolist())),
+            policy="midpoint_first",
+            chunk=chunk,
+        )
+        return sorted(out)
+
+    ref = rows(1 << 19)
+    assert len(ref) > 1000
+    for chunk in (1, 64, 1 << 16):
+        asked.clear()
+        assert rows(chunk) == ref
+        if chunk == 64:
+            assert sum(asked) == 2 * len(ref) + 1
+    emitted = []
+    with pytest.raises(CellBudgetExceeded):
+        refine_fine_cells(
+            g,
+            0.0,
+            1.0,
+            rngs=[np.random.default_rng(0)],
+            emit=lambda tags, us, vs: emitted.append(us.size),
+            max_cells=len(ref) // 2,
+            chunk=64,
+        )
+    assert 0 < sum(emitted) <= len(ref) // 2
 
 
 def test_pinched_gauge_partition_stays_valid_and_fine():

@@ -112,8 +112,10 @@ def test_each_run_draws_the_tags_it_would_draw_alone(gauge, target, undefined, c
 
 
 # Frozen digests of every emit of refine_fine_cells (tags, us and vs,
-# bytes and shapes), taken before the rounds ran in blocks.  Blocks only
-# bound the temporaries; the chunk fixes order, draws and emit batches.
+# bytes and shapes).  No tree here fills a 1 << 19 chunk, so those keys
+# pin the level-by-level walk; the 64 keys pin the depth-first steps of
+# trees that fill a chunk.  Blocks only bound the temporaries; the chunk
+# fixes order, draws and emit batches.
 EMIT_CASES = {
     "rough-line": (intersect_gauges(ROUGH, uniform_gauge(0.05, 8.0)), LINE, ()),
     "sing-undefined": (
@@ -124,29 +126,29 @@ EMIT_CASES = {
     "enum-half": (ENUM, HALF_LINE, ()),
 }
 EMIT_DIGESTS = {
-    ('rough-line', 'midpoint_first', 1, 64): '7d576d4271032d8e',
+    ('rough-line', 'midpoint_first', 1, 64): '1bce8565d3d0c797',
     ('rough-line', 'midpoint_first', 1, 1 << 19): '1184bd8df13b4f44',
-    ('rough-line', 'midpoint_first', 3, 64): '26779c5e61d33109',
+    ('rough-line', 'midpoint_first', 3, 64): 'e923bb60e22d149f',
     ('rough-line', 'midpoint_first', 3, 1 << 19): 'cd0cd84ff8eab503',
-    ('rough-line', 'random', 1, 64): '0a0b418010cd3f43',
+    ('rough-line', 'random', 1, 64): '3dc4141ebd9b30dc',
     ('rough-line', 'random', 1, 1 << 19): 'e803650bc27ea321',
-    ('rough-line', 'random', 3, 64): 'cb557a8aba9121f5',
+    ('rough-line', 'random', 3, 64): '4c8096508c1bb6cd',
     ('rough-line', 'random', 3, 1 << 19): '02116dd8e1e5ce21',
-    ('sing-undefined', 'midpoint_first', 1, 64): 'a0566ef1f1174614',
+    ('sing-undefined', 'midpoint_first', 1, 64): '9ae0aceb150f60fe',
     ('sing-undefined', 'midpoint_first', 1, 1 << 19): '582280fef78e9658',
-    ('sing-undefined', 'midpoint_first', 3, 64): 'ae222b077afa5f08',
+    ('sing-undefined', 'midpoint_first', 3, 64): '5e504c2720f07bda',
     ('sing-undefined', 'midpoint_first', 3, 1 << 19): 'e02e6b45cbd29da4',
-    ('sing-undefined', 'random', 1, 64): '862ab5d2111d006e',
+    ('sing-undefined', 'random', 1, 64): '7306f4df622d32c8',
     ('sing-undefined', 'random', 1, 1 << 19): '9730d2ee7624351d',
-    ('sing-undefined', 'random', 3, 64): '8e255fa6a88a2773',
+    ('sing-undefined', 'random', 3, 64): '2b585b2949d3f18d',
     ('sing-undefined', 'random', 3, 1 << 19): 'eb41428d971e35de',
-    ('enum-half', 'midpoint_first', 1, 64): '0dcc88d150b6bb7d',
+    ('enum-half', 'midpoint_first', 1, 64): '4902368efb2b2ab6',
     ('enum-half', 'midpoint_first', 1, 1 << 19): '8be0ae5680e77065',
-    ('enum-half', 'midpoint_first', 3, 64): 'cecf73b5eaec202c',
+    ('enum-half', 'midpoint_first', 3, 64): 'c80ad59260a627ea',
     ('enum-half', 'midpoint_first', 3, 1 << 19): '4ae16283a36a626f',
-    ('enum-half', 'random', 1, 64): '996d0b3440ec2ba6',
+    ('enum-half', 'random', 1, 64): '5007abb53a6218f9',
     ('enum-half', 'random', 1, 1 << 19): '462cbb097ec751cd',
-    ('enum-half', 'random', 3, 64): '721d92cb01462fe5',
+    ('enum-half', 'random', 3, 64): '6424c7fc3d28b18e',
     ('enum-half', 'random', 3, 1 << 19): '2a7fa45173674178',
 }
 
@@ -210,12 +212,12 @@ DIGESTS = {
     ('hk', 'enum-unit', 0): 'f1683c262c065611',
     ('hk', 'enum-unit', 1): 'f649a35e398a2462',
     ('hk', 'enum-unit', 2): '30dd1fd0c329a96a',
-    ('hk', 'gauss-line', 0): '82cb8f7da32b122c',
-    ('hk', 'gauss-line', 1): 'e483d8ff7b4253ea',
-    ('hk', 'gauss-line', 2): 'fef3569468ec8a38',
-    ('hk', 'inv-sqrt', 0): '393319f7cd427909',
-    ('hk', 'inv-sqrt', 1): '393319f7cd427909',
-    ('hk', 'inv-sqrt', 2): '393319f7cd427909',
+    ('hk', 'gauss-line', 0): '848e7e347929ff6d',
+    ('hk', 'gauss-line', 1): 'b5d070f344d035dd',
+    ('hk', 'gauss-line', 2): '8856ddcb56f97d8a',
+    ('hk', 'inv-sqrt', 0): 'b64bf73738108dc5',
+    ('hk', 'inv-sqrt', 1): 'b64bf73738108dc5',
+    ('hk', 'inv-sqrt', 2): 'b64bf73738108dc5',
     ('hk', 'smooth', 0): '73738b5a105fdca1',
     ('hk', 'smooth', 1): '6bab2f0d8dee2f6b',
     ('hk', 'smooth', 2): '594c7d29dfa9e2b8',
@@ -307,9 +309,9 @@ def test_runs_that_drew_one_tag_share_its_evaluation():
 
 
 def _fine_rough_windows(z):
-    # Asymmetric windows a few 2**-18 wide: on [0, 0.6] one emit of each
-    # hk level holds 67,101 cells, and the runs' endpoint coins pick
-    # different tags in about 1,450 of them.
+    # Asymmetric windows a few 2**-18 wide: on [0, 0.6] each hk level
+    # emits up to 63,808 cells at once, and the runs' endpoint coins pick
+    # different tags in about 1,400 of them.
     scale = 2.0**-18
     return z - scale * (0.5 + 2 * _hash01(z, 12.9898)), z + scale * (0.5 + 2 * _hash01(z, 78.233))
 
@@ -331,10 +333,14 @@ def test_emit_evaluation_blocks_move_no_bit(monkeypatch):
         seen.append(np.array(x, dtype=float))
         return f(x)
 
+    # Emits hold at most one 1 << 16 chunk of cells, so smaller blocks
+    # are what split a row.
+    monkeypatch.setattr(integrator, "_CHUNK_ELEMS", 1 << 14)
     ref = fields(recorded)
-    # The first full block starts run 0's row of the large emit, and the
-    # next call is that row's second block.  Poison two of its tags that
-    # no earlier call saw: the first of them in row-major order is named.
+    # The first full block starts run 0's row of the first large emit, and
+    # the next call is that row's second block.  Poison two of its tags
+    # that no earlier call saw: the first of them in row-major order is
+    # named.
     first = next(i for i, x in enumerate(seen) if x.size == integrator._CHUNK_ELEMS)
     late = seen[first + 1]
     late = late[~np.isin(late, np.concatenate(seen[: first + 1]))][[10, 20]]
