@@ -12,7 +12,7 @@ exists).  Cutoffs double toward an infinite endpoint and halve their
 distance to a finite singular one; partial integrals are accelerated
 with iterated Aitken extrapolation.
 
-Both are limits of raw sequences (level means, cutoff integrals), and
+Both are limits of raw sequences (level sums, cutoff integrals), and
 one raw-limit monitor, ``_divergence``, decides divergence for both on
 the raw values only, never on accelerated ones, so extrapolation cannot
 manufacture convergence for a divergent integrand.
@@ -71,7 +71,10 @@ class IntegratorConfig:
     where the integrand may be undefined or wild; the gauge schedule
     pinches around those in the target.  gauge_override, when set, is
     intersected with every gauge of the schedule (this is how a custom
-    enumeration gauge is pushed into the engine).
+    enumeration gauge is pushed into the engine).  seed draws random tag
+    orders (``hk_sum_spread``, the ``partition`` command) and the windows
+    of the calculus checks; ``hk_integrate`` draws nothing.
+    stability_runs is accepted and ignored: each hk level is one partition.
     """
 
     tol: float = 1e-8
@@ -92,6 +95,8 @@ class IntegratorConfig:
             raise ValueError("max_refinements must be at least 1")
         if self.stability_runs < 1:
             raise ValueError("stability_runs must be at least 1")
+        if not (self.sharpness_scale > 0 and math.isfinite(self.sharpness_scale)):
+            raise ValueError(f"sharpness_scale must be positive finite, got {self.sharpness_scale}")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         for p in self.singular_points:
@@ -107,8 +112,8 @@ class IntegratorConfig:
 
 @dataclass
 class IntegralResult:
-    """``evaluations`` counts Riemann-sum terms (one per run and cell on the
-    gauge route), not integrand points: runs that agree share a point."""
+    """``evaluations`` counts Riemann-sum terms: one per cell on the gauge
+    route, whose ``trace`` holds one (level, sum) entry per level."""
 
     value: float
     error_estimate: float
@@ -195,37 +200,30 @@ def _streamed_sum(
     lo_f: float,
     hi_f: float,
     *,
-    seeds: Sequence[Sequence[int]],
-    policy: str,
+    seeds: Sequence[Sequence[int]] = (),
     cfg: IntegratorConfig,
     undefined: Sequence[float],
 ) -> tuple[np.ndarray, int]:
-    """Riemann sums of fine partitions, one per SeedSequence entropy in
-    ``seeds``, from one bisection tree.
+    """Riemann sums of fine partitions from one bisection tree: one
+    midpoint-first partition with no ``seeds``, else one randomly tagged
+    partition per SeedSequence entropy in ``seeds``.
 
-    Each emitted batch evaluates run 0's tags, then only the cells where
-    another run drew a different tag, ``_CHUNK_ELEMS`` points per call;
-    each run's sum is then one dot product over the whole batch.
+    Each emitted batch evaluates all its tags, ``_CHUNK_ELEMS`` points per
+    call; each run's sum is then one dot product over the whole batch.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    totals = np.zeros(len(rngs))
+    totals = np.zeros(max(1, len(rngs)))
     evals = 0
-
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        vals = np.empty(z.size)
-        for s in range(0, z.size, _CHUNK_ELEMS):
-            vals[s : s + _CHUNK_ELEMS] = _eval_checked(fv, z[s : s + _CHUNK_ELEMS])
-        return vals
 
     def emit(tags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
         nonlocal evals
-        vals = np.tile(evaluate(tags[0]), (tags.shape[0], 1))
-        cols = np.flatnonzero((tags[1:] != tags[0]).any(axis=0))
-        if cols.size:
-            vals[1:, cols] = evaluate(tags[1:, cols].ravel()).reshape(-1, cols.size)
+        z = tags.ravel()
+        vals = np.empty(z.size)
+        for s in range(0, z.size, _CHUNK_ELEMS):
+            vals[s : s + _CHUNK_ELEMS] = _eval_checked(fv, z[s : s + _CHUNK_ELEMS])
         widths = vs - us
-        totals[:] += [np.dot(row, widths) for row in vals]
-        evals += tags.size
+        totals[:] += [np.dot(row, widths) for row in vals.reshape(tags.shape)]
+        evals += z.size
 
     refine_fine_cells(
         gauge,
@@ -233,7 +231,6 @@ def _streamed_sum(
         hi_f,
         rngs=rngs,
         emit=emit,
-        policy=policy,
         max_depth=cfg.max_depth,
         undefined_tags=undefined,
     )
@@ -273,13 +270,12 @@ def hk_integrate(
 
     Level k uses windows of width delta0 * 2**-k (tail rays pushed out by
     the same factor), pinched quadratically around the declared singular
-    points that lie in the target.  Each level makes ``stability_runs``
-    fine partitions that share one bisection tree (which cells are accepted
-    does not depend on the tags) and draw their tags from independent
-    generators; the run spread plus the gap to the previous level is the
-    empirical error.  CONVERGED requires both below the mixed tolerance,
-    on a level with more cells than the level before.  DIVERGED comes
-    from the raw-limit monitor on the level means.
+    points that lie in the target.  Each level sums one fine partition
+    whose cells are tagged midpoint first, then at u, then at v, so the
+    result does not depend on ``cfg.seed``; the gap to the previous
+    level's sum is the empirical error.  CONVERGED requires it below the
+    mixed tolerance, on a level with more cells than the level before.
+    DIVERGED comes from the raw-limit monitor on the level sums.
 
     Declared singular points where the evaluator is undefined are never
     used as tags: such cells are summed with the nearest defined
@@ -294,43 +290,30 @@ def hk_integrate(
 
     trace: list[tuple[int, float]] = []
     evals = prev_n = 0
-    means: list[float] = []
+    sums: list[float] = []
     last_err = math.inf
     message = ""
     for k in range(cfg.max_refinements + 1):
         gauge_k = _level_gauge(cfg, k, delta0, tail0, scale, points)
         glo, ghi = _carve_ends(gauge_k, target)
         try:
-            sums, n = _streamed_sum(
-                fv,
-                gauge_k,
-                glo,
-                ghi,
-                seeds=[[cfg.seed, k, r] for r in range(cfg.stability_runs)],
-                policy="midpoint_first",
-                cfg=cfg,
-                undefined=undefined,
-            )
+            totals, n = _streamed_sum(fv, gauge_k, glo, ghi, cfg=cfg, undefined=undefined)
         except CellBudgetExceeded as exc:
             message = f"stopped at refinement {k}: {exc}"
             break
         evals += n
-        mean_k = float(np.mean(sums))
-        spread = float(np.max(sums) - np.min(sums))
-        trace.extend((k, float(s)) for s in sums)
-        means.append(mean_k)
-        gap = abs(mean_k - means[-2]) if len(means) >= 2 else math.inf
-        last_err = max(spread, gap)
+        sum_k = float(totals[0])
+        trace.append((k, sum_k))
+        sums.append(sum_k)
+        last_err = abs(sum_k - sums[-2]) if len(sums) >= 2 else math.inf
         fresh, prev_n = n != prev_n, n  # same cell count: a repeated partition
-        if k >= cfg.min_levels and fresh and last_err <= cfg.mixed_tol(mean_k):
-            return IntegralResult(
-                mean_k, last_err, IntegralStatus.CONVERGED, evals, trace
-            )
-        why = _divergence(means, 100.0 * cfg.mixed_tol(mean_k), "Riemann sums", "refinement")
+        if k >= cfg.min_levels and fresh and last_err <= cfg.mixed_tol(sum_k):
+            return IntegralResult(sum_k, last_err, IntegralStatus.CONVERGED, evals, trace)
+        why = _divergence(sums, 100.0 * cfg.mixed_tol(sum_k), "Riemann sums", "refinement")
         if why:
-            return IntegralResult(mean_k, last_err, IntegralStatus.DIVERGED, evals, trace, why)
+            return IntegralResult(sum_k, last_err, IntegralStatus.DIVERGED, evals, trace, why)
     return IntegralResult(
-        means[-1] if means else math.nan,
+        sums[-1] if sums else math.nan,
         last_err,
         IntegralStatus.INCONCLUSIVE,
         evals,
@@ -364,7 +347,6 @@ def hk_sum_spread(
         lo_f,
         hi_f,
         seeds=[[cfg.seed, 0x5EED, i] for i in range(n_partitions)],
-        policy="random",
         cfg=cfg,
         undefined=undefined,
     )
@@ -568,12 +550,7 @@ def _exhaust_side(
             sub = hk_integrate(
                 fv,
                 ClosedInterval(rung_lo, c),
-                cfg.with_(
-                    tol=0.5 * cfg.tol,
-                    stability_runs=1,
-                    min_levels=1,
-                    seed=cfg.seed + 7919 * (j + 1),
-                ),
+                cfg.with_(tol=0.5 * cfg.tol, min_levels=1),
             )
             evals += sub.evaluations
             if sub.status is not IntegralStatus.CONVERGED:

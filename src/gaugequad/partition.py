@@ -47,14 +47,11 @@ DEFAULT_MAX_CELLS = 1 << 23
 _BLOCK = 1 << 14  # cells per block of a round's elementwise work (cache-sized)
 
 
-# _FIRST_FIT[policy][fits, draw]: the first candidate (0 = u, 1 = midpoint,
-# 2 = v) in the draw's order with its bit set in fits.  Draws are permutation
-# numbers ("random") or coins, 0 meaning u before v ("midpoint_first").
-_ORDERS = {"random": list(permutations(range(3))), "midpoint_first": [(1, 0, 2), (1, 2, 0)]}
-_FIRST_FIT = {
-    policy: np.array([[next((c for c in o if f >> c & 1), 0) for o in orders] for f in range(8)])
-    for policy, orders in _ORDERS.items()
-}
+# _FIRST_FIT[fits, draw]: the first candidate (0 = u, 1 = midpoint, 2 = v)
+# in the order _ORDERS[draw] with its bit set in fits.
+_ORDERS = list(permutations(range(3)))
+_FIRST_FIT = np.array([[next((c for c in o if f >> c & 1), 0) for o in _ORDERS] for f in range(8)])
+_MIDPOINT_FIRST = _ORDERS.index((1, 0, 2))
 
 
 class DepthExceeded(RuntimeError):
@@ -267,9 +264,8 @@ def refine_fine_cells(
     lo: float,
     hi: float,
     *,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator] = (),
     emit: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-    policy: str = "random",
     max_depth: int = 60,
     max_cells: int = DEFAULT_MAX_CELLS,
     undefined_tags: Sequence[float] = (),
@@ -277,14 +273,13 @@ def refine_fine_cells(
 ) -> int:
     """Bisect [lo, hi] into gauge-fine cells, streaming them to ``emit``.
 
-    Which cells are accepted never depends on the generators, so the
-    runs, one per generator in ``rngs``, share one bisection tree; ``emit``
-    receives ``tags`` of shape (len(rngs), len(us)).  Candidate tags for
-    a cell [u, v] are u, the midpoint, and v; each run tries them in an
-    order drawn from its own generator, as it would bisecting alone:
-    a random permutation ("random") or midpoint first with the endpoints
-    in random order ("midpoint_first", the low-noise choice for
-    integration).
+    Candidate tags for a cell [u, v] are u, the midpoint, and v.  With no
+    generators there is one run, which tries them midpoint first, then u,
+    then v (the low-noise choice for integration).  Otherwise each
+    generator in ``rngs`` is one run that tries them in a random order of
+    its own, as it would bisecting alone; which cells are accepted never
+    depends on the order, so the runs share one bisection tree.  ``emit``
+    receives ``tags`` of shape (runs, len(us)).
     Tags listed in ``undefined_tags`` are never emitted: a cell accepted
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
@@ -301,10 +296,7 @@ def refine_fine_cells(
     neither be split nor tagged, and CellBudgetExceeded if the accepted
     and pending cells could exceed max_cells after the next step.
     """
-    if policy not in _FIRST_FIT:
-        raise ValueError(f"unknown tag policy {policy!r}")
-    first_fit = _FIRST_FIT[policy]
-    orders = first_fit.shape[1]
+    orders = len(_ORDERS)
     undef = np.array(sorted(set(float(t) for t in undefined_tags)), dtype=float)
     # Each pending cell [u, v] carries the right reach of u's window and
     # the left reach of v's; a split hands them to its children, so every
@@ -323,7 +315,10 @@ def refine_fine_cells(
         if accepted + sum(sizes.values()) + size > max_cells:
             raise CellBudgetExceeded(f"partition would exceed {max_cells} cells (depth {depth})")
         sizes[depth] -= size
-        draws = np.array([g.integers(0, orders, size=size) for g in rngs])
+        if rngs:
+            draws = np.array([g.integers(0, orders, size=size) for g in rngs])
+        else:
+            draws = np.full((1, size), _MIDPOINT_FIRST)
         got, left, right, stuck = [], [], [], []
         for b in range(0, size, _BLOCK):
             u, v, ru, lv = _take(pending[depth], min(_BLOCK, size - b))
@@ -345,10 +340,10 @@ def refine_fine_cells(
             ia, ir = acc.nonzero()[0], (~acc).nonzero()[0]
             if ia.size:
                 # Each run's first fitting candidate, by flat index into
-                # first_fit, gathered from the candidates laid end to end.
+                # _FIRST_FIT, gathered from the candidates laid end to end.
                 fits = ok[0] + 2 * ok[1].view(np.uint8) + 4 * ok[2].view(np.uint8)
                 drawn = draws[:, b : b + _BLOCK].take(ia, axis=1)
-                chosen = first_fit.take(drawn + orders * fits.take(ia))
+                chosen = _FIRST_FIT.take(drawn + orders * fits.take(ia))
                 tags = np.concatenate((tag_u, tag_m, tag_v)).take(chosen * u.size + ia)
                 got.append((tags, u.take(ia), v.take(ia)))
             if ir.size:
@@ -377,14 +372,14 @@ def cousin_fine_partition(
     max_depth: int = 60,
     *,
     seed: int = 0,
-    policy: str = "random",
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> TaggedPartition:
     """Construct a tagged partition of ``target`` fine for ``gauge``.
 
-    Deterministic for a fixed seed.  The result always passes
-    ``validate``; it is fine for the gauge whenever no undefined-tag
-    substitution was needed (the plain partitioner never substitutes).
+    Tags are tried in a random order drawn for each cell, deterministic
+    for a fixed seed.  The result always passes ``validate``; it is fine
+    for the gauge whenever no undefined-tag substitution was needed (the
+    plain partitioner never substitutes).
     """
     lo_f, hi_f = _carve_ends(gauge, target)
     bucket: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -398,7 +393,6 @@ def cousin_fine_partition(
         hi_f,
         rngs=[np.random.default_rng(seed)],
         emit=lambda tags, us, vs: bucket.append((tags[0], us, vs)),
-        policy=policy,
         max_depth=max_depth,
         max_cells=max_cells,
     )

@@ -247,19 +247,21 @@ def test_cauchy_divergent_family(branch):
 # Every DIVERGED exit of the raw-limit monitor, on both limits.  The
 # digests of (value, error_estimate, status, evaluations, trace) were
 # frozen before the two monitors became one (hk-sin's again when its
-# partitions' emits became chunk-sized, which moved its sums' last bits);
-# the messages name the test that fired, and monotone growth with
-# growing steps is not reported as oscillation.
+# partitions' emits became chunk-sized, which moved its sums' last bits,
+# and both hk digests again when each level became one partition, which
+# kept the values and cut the evaluations and trace to a third); the
+# messages name the test that fired, and monotone growth with growing
+# steps is not reported as oscillation.
 HALF_LINE = ClosedInterval(0.0, math.inf)
 DIVERGED_CASES = {
     "hk-exp": (
         lambda: hk_integrate(np.exp, HALF_LINE, IntegratorConfig(tol=1e-6)),
-        "3d10af58199a96bc",
+        "f1d67d763154e9c8",
         "Riemann sums grew beyond 1e12 x initial scale at refinement 3",
     ),
     "hk-sin": (
         lambda: hk_integrate(np.sin, HALF_LINE, IntegratorConfig(tol=1e-6)),
-        "a48c7d232757d858",
+        "5a43c294cc5d2715",
         "Riemann sums oscillate without decay as the refinement grows",
     ),
     "hake-exp": (
@@ -350,6 +352,9 @@ def test_config_validation():
         IntegratorConfig(singular_points=(math.inf,))
     with pytest.raises(ValueError):
         IntegratorConfig(stability_runs=0)
+    for sharpness in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            IntegratorConfig(sharpness_scale=sharpness, singular_points=(0.0,))
 
 
 def test_config_with_and_mixed_tol():

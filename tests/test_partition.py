@@ -119,9 +119,7 @@ def test_chunk_emits_its_accepted_cells_before_a_stuck_cell_raises(block, monkey
     emitted = []
 
     def refine(emit):
-        refine_fine_cells(
-            gauge, 1.0, 1.0 + 8 * ULP1, rngs=[np.random.default_rng(0)], emit=emit, policy="midpoint_first"
-        )
+        refine_fine_cells(gauge, 1.0, 1.0 + 8 * ULP1, emit=emit)
 
     with pytest.raises(DepthExceeded) as stuck:
         refine(lambda tags, us, vs: emitted.append((tags.tolist(), us.tolist(), vs.tolist())))
@@ -176,8 +174,8 @@ def test_a_wide_tree_holds_less_than_its_widest_level():
 
 
 def test_the_accepted_cells_do_not_depend_on_the_chunk():
-    # Which cells are accepted depends on the gauge alone, and so do their
-    # "midpoint_first" tags under a symmetric gauge; the chunk only orders
+    # Which cells are accepted depends on the gauge alone, and so do the
+    # midpoint-first tags of a run with no generators; the chunk only orders
     # the walk (level by level at 1 << 19, depth first at 64 and below).
     # The gauge is still asked each point of the tree once, and a budget
     # stop never lets more cells out than the budget.
@@ -194,9 +192,7 @@ def test_the_accepted_cells_do_not_depend_on_the_chunk():
             Gauge(counted, g.neg_ray, g.pos_ray),
             0.0,
             1.0,
-            rngs=[np.random.default_rng(0)],
             emit=lambda tags, us, vs: out.extend(zip(tags[0].tolist(), us.tolist(), vs.tolist())),
-            policy="midpoint_first",
             chunk=chunk,
         )
         return sorted(out)
@@ -252,12 +248,9 @@ def test_partitioner_queries_each_point_once():
         asked.append(z.size)
         return g.window_fn(z)
 
-    gc = Gauge(counted, g.neg_ray, g.pos_ray)
-    for policy in ("random", "midpoint_first"):
-        asked.clear()
-        p = cousin_fine_partition(gc, target, policy=policy)
-        assert p.to_records() == cousin_fine_partition(g, target, policy=policy).to_records()
-        assert sum(asked) == 2 * len(p) + 1
+    p = cousin_fine_partition(Gauge(counted, g.neg_ray, g.pos_ray), target)
+    assert p.to_records() == cousin_fine_partition(g, target).to_records()
+    assert sum(asked) == 2 * len(p) + 1
 
 
 def test_riemann_sum_constant_is_exact():

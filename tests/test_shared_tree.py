@@ -1,9 +1,10 @@
-"""The stability runs of one gauge level share one bisection tree.
+"""Tag choice in the bisection partitioner, and the sums built on it.
 
 Which cells the partitioner accepts depends on the gauge and the
-undefined tags alone; only the tag choice draws random numbers.  So
-several runs bisect once and each draws its own tags, exactly as it
-would bisecting alone.
+undefined tags alone.  With no generators each cell is tagged midpoint
+first, then at u, then at v: that one partition is an hk level.  With
+generators, as in ``hk_sum_spread``, several runs bisect once and each
+draws its own tag orders, exactly as it would bisecting alone.
 """
 import hashlib
 import math
@@ -39,8 +40,9 @@ def _hash01(z, c):
 def _rough_windows(z):
     # Independent left and right reaches.  Under a symmetric gauge an
     # endpoint that fits a child cell is the parent's fitting midpoint,
-    # so below the root the endpoint coin of "midpoint_first" never
-    # matters; here it does.
+    # so below the root a midpoint-first tag never falls back to an
+    # endpoint; here it does, and a cell can fit both endpoints but not
+    # its midpoint.
     return z - 0.1 * _hash01(z, 12.9898) ** 2 - 1e-3, z + 0.1 * _hash01(z, 78.233) ** 2 + 1e-3
 
 
@@ -57,7 +59,7 @@ def rational_indicator(x):
     return (_SORTED[idx] == x).astype(float)
 
 
-def _emits(gauge, target, seeds, policy, undefined=(), chunk=1 << 19):
+def _emits(gauge, target, seeds=(), undefined=(), chunk=1 << 19):
     lo_f, hi_f = _carve_ends(gauge, target)
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
     out = []
@@ -67,14 +69,12 @@ def _emits(gauge, target, seeds, policy, undefined=(), chunk=1 << 19):
         hi_f,
         rngs=rngs,
         emit=lambda *rows: out.append(rows),
-        policy=policy,
         undefined_tags=undefined,
         chunk=chunk,
     )
     return out
 
 
-@pytest.mark.parametrize("policy", ["random", "midpoint_first"])
 @pytest.mark.parametrize(
     "gauge, target, undefined, chunk",
     [
@@ -96,12 +96,12 @@ def _emits(gauge, target, seeds, policy, undefined=(), chunk=1 << 19):
         (ENUM, HALF_LINE, (), 64),
     ],
 )
-def test_each_run_draws_the_tags_it_would_draw_alone(gauge, target, undefined, chunk, policy):
+def test_each_run_draws_the_tags_it_would_draw_alone(gauge, target, undefined, chunk):
     seeds = [[7, 0, r] for r in range(3)]
-    shared = _emits(gauge, target, seeds, policy, undefined, chunk)
+    shared = _emits(gauge, target, seeds, undefined, chunk)
     assert all(tags.shape == (3, us.size) for tags, us, _ in shared)
     for r, seed in enumerate(seeds):
-        alone = _emits(gauge, target, [seed], policy, undefined, chunk)
+        alone = _emits(gauge, target, [seed], undefined, chunk)
         assert len(alone) == len(shared)
         for (tags, us, vs), (tags_r, us_r, vs_r) in zip(shared, alone):
             assert np.array_equal(tags[r], tags_r[0])
@@ -113,9 +113,11 @@ def test_each_run_draws_the_tags_it_would_draw_alone(gauge, target, undefined, c
 
 # Frozen digests of every emit of refine_fine_cells (tags, us and vs,
 # bytes and shapes).  No tree here fills a 1 << 19 chunk, so those keys
-# pin the level-by-level walk; the 64 keys pin the depth-first steps of
-# trees that fill a chunk.  Blocks only bound the temporaries; the chunk
-# fixes order, draws and emit batches.
+# pin the level-by-level walk; the smaller chunks pin the depth-first
+# steps of trees that fill a chunk, down to one cell a step.  "random"
+# keys draw from `runs` generators, "midpoint" keys are the one run with
+# none.  Blocks only bound the temporaries; the chunk fixes order, draws
+# and emit batches.
 EMIT_CASES = {
     "rough-line": (intersect_gauges(ROUGH, uniform_gauge(0.05, 8.0)), LINE, ()),
     "sing-undefined": (
@@ -126,26 +128,26 @@ EMIT_CASES = {
     "enum-half": (ENUM, HALF_LINE, ()),
 }
 EMIT_DIGESTS = {
-    ('rough-line', 'midpoint_first', 1, 64): '1bce8565d3d0c797',
-    ('rough-line', 'midpoint_first', 1, 1 << 19): '1184bd8df13b4f44',
-    ('rough-line', 'midpoint_first', 3, 64): 'e923bb60e22d149f',
-    ('rough-line', 'midpoint_first', 3, 1 << 19): 'cd0cd84ff8eab503',
+    ('rough-line', 'midpoint', 1, 1): 'ade3dcbf818a757c',
+    ('rough-line', 'midpoint', 1, 8): '9027d636dfa5cbfc',
+    ('rough-line', 'midpoint', 1, 64): '7c0fa104119a54b6',
+    ('rough-line', 'midpoint', 1, 1 << 19): 'b72eb1526347fada',
     ('rough-line', 'random', 1, 64): '3dc4141ebd9b30dc',
     ('rough-line', 'random', 1, 1 << 19): 'e803650bc27ea321',
     ('rough-line', 'random', 3, 64): '4c8096508c1bb6cd',
     ('rough-line', 'random', 3, 1 << 19): '02116dd8e1e5ce21',
-    ('sing-undefined', 'midpoint_first', 1, 64): '9ae0aceb150f60fe',
-    ('sing-undefined', 'midpoint_first', 1, 1 << 19): '582280fef78e9658',
-    ('sing-undefined', 'midpoint_first', 3, 64): '5e504c2720f07bda',
-    ('sing-undefined', 'midpoint_first', 3, 1 << 19): 'e02e6b45cbd29da4',
+    ('sing-undefined', 'midpoint', 1, 1): '8122bab3c432ac4e',
+    ('sing-undefined', 'midpoint', 1, 8): '715962d9cbe8d132',
+    ('sing-undefined', 'midpoint', 1, 64): 'd0770ce3ff6c3f46',
+    ('sing-undefined', 'midpoint', 1, 1 << 19): '40a897d11aa23296',
     ('sing-undefined', 'random', 1, 64): '7306f4df622d32c8',
     ('sing-undefined', 'random', 1, 1 << 19): '9730d2ee7624351d',
     ('sing-undefined', 'random', 3, 64): '2b585b2949d3f18d',
     ('sing-undefined', 'random', 3, 1 << 19): 'eb41428d971e35de',
-    ('enum-half', 'midpoint_first', 1, 64): '4902368efb2b2ab6',
-    ('enum-half', 'midpoint_first', 1, 1 << 19): '8be0ae5680e77065',
-    ('enum-half', 'midpoint_first', 3, 64): 'c80ad59260a627ea',
-    ('enum-half', 'midpoint_first', 3, 1 << 19): '4ae16283a36a626f',
+    ('enum-half', 'midpoint', 1, 1): '895d945388451505',
+    ('enum-half', 'midpoint', 1, 8): '30ce1498931a1659',
+    ('enum-half', 'midpoint', 1, 64): '79de5dad341f58f4',
+    ('enum-half', 'midpoint', 1, 1 << 19): '98e2dd8234b5bfe3',
     ('enum-half', 'random', 1, 64): '5007abb53a6218f9',
     ('enum-half', 'random', 1, 1 << 19): '462cbb097ec751cd',
     ('enum-half', 'random', 3, 64): '6424c7fc3d28b18e',
@@ -164,16 +166,18 @@ def _emits_digest(records) -> str:
 @pytest.mark.parametrize("block", [1, 5, 64, 1 << 14])
 @pytest.mark.parametrize("key", sorted(EMIT_DIGESTS))
 def test_block_size_moves_no_emitted_bit(key, block, monkeypatch):
-    name, policy, runs, chunk = key
+    name, order, runs, chunk = key
     gauge, target, undefined = EMIT_CASES[name]
     monkeypatch.setattr(partition, "_BLOCK", block)
-    records = _emits(gauge, target, [[3, 1, r] for r in range(runs)], policy, undefined, chunk)
+    seeds = [[3, 1, r] for r in range(runs)] if order == "random" else ()
+    records = _emits(gauge, target, seeds, undefined, chunk)
     assert _emits_digest(records) == EMIT_DIGESTS[key]
 
 
 # Frozen digests of (value, error, status, evaluations, trace) of
-# hk_integrate and of the SumSpread of hk_sum_spread.  They pin every
-# run's tags and the order of its sums bit for bit, for seeds 0-2.
+# hk_integrate and of the SumSpread of hk_sum_spread, for seeds 0-2.
+# hk_integrate draws nothing, so its seeds share one digest; the spread
+# digests pin every run's tags and the order of its sums bit for bit.
 HK_CASES = {
     "smooth": (lambda x: np.sin(3 * x) + x * x, UNIT, dict(gauge_override=ROUGH)),
     "inv-sqrt": (
@@ -206,21 +210,21 @@ SPREAD_CASES = {
     ),
 }
 DIGESTS = {
-    ('hk', 'enum-half', 0): '167ca3c82b6194ef',
-    ('hk', 'enum-half', 1): 'c612d4709bba1a43',
-    ('hk', 'enum-half', 2): '26622bd30d9a002a',
-    ('hk', 'enum-unit', 0): 'f1683c262c065611',
-    ('hk', 'enum-unit', 1): 'f649a35e398a2462',
-    ('hk', 'enum-unit', 2): '30dd1fd0c329a96a',
-    ('hk', 'gauss-line', 0): '848e7e347929ff6d',
-    ('hk', 'gauss-line', 1): 'b5d070f344d035dd',
-    ('hk', 'gauss-line', 2): '8856ddcb56f97d8a',
-    ('hk', 'inv-sqrt', 0): 'b64bf73738108dc5',
-    ('hk', 'inv-sqrt', 1): 'b64bf73738108dc5',
-    ('hk', 'inv-sqrt', 2): 'b64bf73738108dc5',
-    ('hk', 'smooth', 0): '73738b5a105fdca1',
-    ('hk', 'smooth', 1): '6bab2f0d8dee2f6b',
-    ('hk', 'smooth', 2): '594c7d29dfa9e2b8',
+    ('hk', 'enum-half', 0): '870c46cfc6cb0a3f',
+    ('hk', 'enum-half', 1): '870c46cfc6cb0a3f',
+    ('hk', 'enum-half', 2): '870c46cfc6cb0a3f',
+    ('hk', 'enum-unit', 0): '734a8818ac65110e',
+    ('hk', 'enum-unit', 1): '734a8818ac65110e',
+    ('hk', 'enum-unit', 2): '734a8818ac65110e',
+    ('hk', 'gauss-line', 0): '9c0904cc50e9de56',
+    ('hk', 'gauss-line', 1): '9c0904cc50e9de56',
+    ('hk', 'gauss-line', 2): '9c0904cc50e9de56',
+    ('hk', 'inv-sqrt', 0): '77790f22dea86042',
+    ('hk', 'inv-sqrt', 1): '77790f22dea86042',
+    ('hk', 'inv-sqrt', 2): '77790f22dea86042',
+    ('hk', 'smooth', 0): '8c55a3f35ff280a0',
+    ('hk', 'smooth', 1): '8c55a3f35ff280a0',
+    ('hk', 'smooth', 2): '8c55a3f35ff280a0',
     ('spread', 'enum-unit', 0): '238fd054555042ff',
     ('spread', 'enum-unit', 1): 'b024284cfabaa3b9',
     ('spread', 'enum-unit', 2): '189191346ca54ba7',
@@ -258,13 +262,13 @@ def test_hk_sum_spread_is_unchanged(name, seed):
     assert _digest(spread) == DIGESTS[("spread", name, seed)]
 
 
-def test_one_tree_and_one_evaluation_per_emit():
-    # A counting gauge sees 2c + 1 points for a level whose partitions
-    # have c cells each, and the integrand is called once per emitted
-    # batch (of at most _CHUNK_ELEMS cells, all runs agreeing), however
-    # many runs share it.  Every run's tags still count as evaluations.
-    seen = [0]
-    calls = [0]
+def test_one_tree_and_one_evaluation_per_emit(monkeypatch):
+    # A counting gauge sees 2c + 1 points for a level of c cells, and the
+    # integrand is called once per block of _CHUNK_ELEMS cells of each
+    # emitted batch.  Each cell is one point and one Riemann-sum term, so
+    # the evaluations are the integrand's points less the two-point probe
+    # of the vector adapter.
+    seen, calls, points, emitted = [0], [0], [0], []
 
     def counted(z):
         seen[0] += z.size
@@ -272,46 +276,63 @@ def test_one_tree_and_one_evaluation_per_emit():
 
     def f(x):
         calls[0] += 1
+        points[0] += np.size(x)
         return np.sin(3 * x)
 
-    results = {}
-    for runs in (1, 3):
-        seen[0] = calls[0] = 0
-        cfg = IntegratorConfig(
-            tol=1e-15,
-            max_refinements=4,
-            stability_runs=runs,
-            gauge_override=Gauge(counted, -1e3, 1e3),
-        )
-        res = hk_integrate(f, UNIT, cfg)
-        levels = len({k for k, _ in res.trace})
-        assert levels == 5
-        assert seen[0] == 2 * res.evaluations // runs + levels
-        results[runs] = (res.evaluations, calls[0])
-    assert results[3][0] == 3 * results[1][0]
-    assert results[3][1] == results[1][1]
+    def refine(*args, emit, **kw):
+        def counted_emit(tags, us, vs):
+            emitted.append(us.size)
+            emit(tags, us, vs)
+
+        return refine_fine_cells(*args, emit=counted_emit, **kw)
+
+    monkeypatch.setattr(integrator, "refine_fine_cells", refine)
+    monkeypatch.setattr(integrator, "_CHUNK_ELEMS", 16)
+    cfg = IntegratorConfig(tol=1e-15, max_refinements=4, gauge_override=Gauge(counted, -1e3, 1e3))
+    res = hk_integrate(f, UNIT, cfg)
+    assert [k for k, _ in res.trace] == [0, 1, 2, 3, 4]
+    assert seen[0] == 2 * res.evaluations + len(res.trace)
+    assert max(emitted) > 16
+    assert calls[0] - 1 == sum(-(-n // 16) for n in emitted)
+    assert points[0] - 2 == res.evaluations == sum(emitted)
 
 
-def test_runs_that_drew_one_tag_share_its_evaluation():
-    # Under "midpoint_first" a symmetric gauge makes every run tag each
-    # cell at its midpoint, so three runs need one point per cell (after
-    # the two-point probe of the vector adapter) and still count three
-    # Riemann-sum terms per cell.
-    points = [0]
+def test_hk_integrate_does_not_depend_on_the_seed():
+    # ROUGH makes cells that fit both endpoints but not their midpoint,
+    # where a drawn endpoint order would move the sums.  Each level is
+    # one midpoint-first partition: one sum, one trace entry.
+    f, target, kw = HK_CASES["smooth"]
+    fields = []
+    for seed in (0, 1, 2):
+        r = hk_integrate(f, target, IntegratorConfig(seed=seed, tol=1e-5, max_refinements=6, **kw))
+        assert [k for k, _ in r.trace] == list(range(len(r.trace)))
+        fields.append((r.value, r.error_estimate, r.status, r.evaluations, r.trace))
+    assert fields[0] == fields[1] == fields[2]
 
-    def f(x):
-        points[0] += np.size(x)
-        return np.sin(3 * x) + x * x
 
-    res = hk_integrate(f, UNIT, IntegratorConfig(tol=1e-6, stability_runs=3))
-    assert res.evaluations % 3 == 0
-    assert points[0] - 2 == res.evaluations // 3
+@pytest.mark.parametrize("name", ["rough-unit", "rough-line", "enum-half"])
+def test_no_generator_tags_midpoint_then_u_then_v(name):
+    gauge, target, _ = {"rough-unit": (ROUGH, UNIT, ()), **EMIT_CASES}[name]
+    records = _emits(gauge, target, chunk=64)
+    tags, us, vs = (np.hstack(col) for col in zip(*records))
+    assert tags.shape == (1, us.size)
+    ms = us + 0.5 * (vs - us)
+
+    def holds(z):
+        glo, ghi = gauge.windows(z)
+        return (glo < us) & (vs < ghi)
+
+    fit_m, fit_u, fit_v = holds(ms), holds(us), holds(vs)
+    assert np.all(fit_m | fit_u | fit_v)
+    assert np.array_equal(tags[0], np.where(fit_m, ms, np.where(fit_u, us, vs)))
+    # Both fallbacks are taken, and some cells fit both endpoints only.
+    assert np.any(~fit_m & fit_u) and np.any(~fit_m & ~fit_u)
+    assert np.any(~fit_m & fit_u & fit_v)
 
 
 def _fine_rough_windows(z):
     # Asymmetric windows a few 2**-18 wide: on [0, 0.6] each hk level
-    # emits up to 63,808 cells at once, and the runs' endpoint coins pick
-    # different tags in about 1,400 of them.
+    # emits up to 63,808 cells at once.
     scale = 2.0**-18
     return z - scale * (0.5 + 2 * _hash01(z, 12.9898)), z + scale * (0.5 + 2 * _hash01(z, 78.233))
 
@@ -334,13 +355,12 @@ def test_emit_evaluation_blocks_move_no_bit(monkeypatch):
         return f(x)
 
     # Emits hold at most one 1 << 16 chunk of cells, so smaller blocks
-    # are what split a row.
+    # are what split an emit.
     monkeypatch.setattr(integrator, "_CHUNK_ELEMS", 1 << 14)
     ref = fields(recorded)
-    # The first full block starts run 0's row of the first large emit, and
-    # the next call is that row's second block.  Poison two of its tags
-    # that no earlier call saw: the first of them in row-major order is
-    # named.
+    # The first full block starts the first large emit, and the next call
+    # is its second block.  Poison two of its tags that no earlier call
+    # saw: the first of them is named.
     first = next(i for i, x in enumerate(seen) if x.size == integrator._CHUNK_ELEMS)
     late = seen[first + 1]
     late = late[~np.isin(late, np.concatenate(seen[: first + 1]))][[10, 20]]
