@@ -297,6 +297,26 @@ def test_one_tree_and_one_evaluation_per_emit(monkeypatch):
     assert points[0] - 2 == res.evaluations == sum(emitted)
 
 
+def test_runs_that_drew_one_tag_share_its_evaluation():
+    # A level is one midpoint-first partition whatever stability_runs
+    # asks for, so on the default gauge route each cell needs one point
+    # (after the two-point probe of the vector adapter) and counts one
+    # Riemann-sum term, and three runs give what one run gives.
+    points = [0]
+
+    def f(x):
+        points[0] += np.size(x)
+        return np.sin(3 * x) + x * x
+
+    fields = {}
+    for runs in (1, 3):
+        points[0] = 0
+        res = hk_integrate(f, UNIT, IntegratorConfig(tol=1e-6, stability_runs=runs))
+        assert points[0] - 2 == res.evaluations
+        fields[runs] = (res.value, res.error_estimate, res.status, res.evaluations, res.trace)
+    assert fields[3] == fields[1]
+
+
 def test_hk_integrate_does_not_depend_on_the_seed():
     # ROUGH makes cells that fit both endpoints but not their midpoint,
     # where a drawn endpoint order would move the sums.  Each level is
