@@ -112,8 +112,9 @@ class IntegratorConfig:
 
 @dataclass
 class IntegralResult:
-    """``evaluations`` counts Riemann-sum terms: one per cell on the gauge
-    route, whose ``trace`` holds one (level, sum) entry per level."""
+    """``evaluations`` counts integrand points: on the gauge route one per
+    cell, plus one per cell whose tag is open (see ``hk_integrate``), and
+    ``trace`` holds one (level, sum) entry per level."""
 
     value: float
     error_estimate: float
@@ -203,29 +204,37 @@ def _streamed_sum(
     seeds: Sequence[Sequence[int]] = (),
     cfg: IntegratorConfig,
     undefined: Sequence[float],
-) -> tuple[np.ndarray, int]:
-    """Riemann sums of fine partitions from one bisection tree: one
-    midpoint-first partition with no ``seeds``, else one randomly tagged
-    partition per SeedSequence entropy in ``seeds``.
+) -> tuple[np.ndarray, float, int, int]:
+    """Riemann sums of fine partitions from one bisection tree, one per run
+    of ``refine_fine_cells``: the two midpoint-first runs with no ``seeds``,
+    else one randomly tagged run per SeedSequence entropy in ``seeds``.
 
-    Each emitted batch evaluates all its tags, ``_CHUNK_ELEMS`` points per
-    call; each run's sum is then one dot product over the whole batch.
+    Each emitted batch evaluates run 0's tags, then the other runs' tags
+    on the cells where some run drew a different one, ``_CHUNK_ELEMS``
+    points per call; each run's sum is then one dot product over the whole
+    batch.  Returns the sums, the tag spread (each cell's width times the
+    range of the runs' values there, summed), the accepted cells and the
+    integrand points evaluated.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
-    totals = np.zeros(max(1, len(rngs)))
-    evals = 0
+    totals = np.zeros(len(rngs) or 2)
+    spread, points = 0.0, 0
 
     def emit(tags: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
-        nonlocal evals
-        z = tags.ravel()
+        nonlocal spread, points
+        cols = np.flatnonzero((tags[1:] != tags[0]).any(axis=0))
+        z = np.concatenate((tags[0], tags[1:, cols].ravel()))
         vals = np.empty(z.size)
         for s in range(0, z.size, _CHUNK_ELEMS):
             vals[s : s + _CHUNK_ELEMS] = _eval_checked(fv, z[s : s + _CHUNK_ELEMS])
+        rows = np.tile(vals[: us.size], (tags.shape[0], 1))
+        rows[1:, cols] = vals[us.size :].reshape(len(rows) - 1, cols.size)
         widths = vs - us
-        totals[:] += [np.dot(row, widths) for row in vals.reshape(tags.shape)]
-        evals += z.size
+        spread += float(np.dot(np.ptp(rows[:, cols], axis=0), widths[cols]))
+        totals[:] += [np.dot(row, widths) for row in rows]
+        points += z.size
 
-    refine_fine_cells(
+    cells = refine_fine_cells(
         gauge,
         lo_f,
         hi_f,
@@ -234,7 +243,7 @@ def _streamed_sum(
         max_depth=cfg.max_depth,
         undefined_tags=undefined,
     )
-    return totals, evals
+    return totals, spread, cells, points
 
 
 def _grew(values: Sequence[float]) -> bool:
@@ -272,9 +281,12 @@ def hk_integrate(
     the same factor), pinched quadratically around the declared singular
     points that lie in the target.  Each level sums one fine partition
     whose cells are tagged midpoint first, then at u, then at v, so the
-    result does not depend on ``cfg.seed``; the gap to the previous
-    level's sum is the empirical error.  CONVERGED requires it below the
-    mixed tolerance, on a level with more cells than the level before.
+    result does not depend on ``cfg.seed``.  A cell that fits both
+    endpoints but not its midpoint (only an asymmetric ``gauge_override``
+    makes one) leaves its tag open: the level's tag spread, the range of
+    its sum over those choices, plus the gap to the previous level's sum
+    is the empirical error.  CONVERGED requires it below the mixed
+    tolerance, on a level with more cells than the level before.
     DIVERGED comes from the raw-limit monitor on the level sums.
 
     Declared singular points where the evaluator is undefined are never
@@ -297,15 +309,15 @@ def hk_integrate(
         gauge_k = _level_gauge(cfg, k, delta0, tail0, scale, points)
         glo, ghi = _carve_ends(gauge_k, target)
         try:
-            totals, n = _streamed_sum(fv, gauge_k, glo, ghi, cfg=cfg, undefined=undefined)
+            totals, spread, n, used = _streamed_sum(fv, gauge_k, glo, ghi, cfg=cfg, undefined=undefined)
         except CellBudgetExceeded as exc:
             message = f"stopped at refinement {k}: {exc}"
             break
-        evals += n
+        evals += used
         sum_k = float(totals[0])
         trace.append((k, sum_k))
         sums.append(sum_k)
-        last_err = abs(sum_k - sums[-2]) if len(sums) >= 2 else math.inf
+        last_err = (abs(sum_k - sums[-2]) if len(sums) >= 2 else math.inf) + spread
         fresh, prev_n = n != prev_n, n  # same cell count: a repeated partition
         if k >= cfg.min_levels and fresh and last_err <= cfg.mixed_tol(sum_k):
             return IntegralResult(sum_k, last_err, IntegralStatus.CONVERGED, evals, trace)
@@ -341,7 +353,7 @@ def hk_sum_spread(
     lo_f, hi_f = _carve_ends(gauge, target)
     fv = _as_vector_fn(f, probe=lo_f + 0.37 * (hi_f - lo_f))
     undefined = _probe_undefined(fv, [p for p in cfg.singular_points if target.contains(p)])
-    sums, _ = _streamed_sum(
+    sums, *_ = _streamed_sum(
         fv,
         gauge,
         lo_f,

@@ -48,10 +48,11 @@ _BLOCK = 1 << 14  # cells per block of a round's elementwise work (cache-sized)
 
 
 # _FIRST_FIT[fits, draw]: the first candidate (0 = u, 1 = midpoint, 2 = v)
-# in the order _ORDERS[draw] with its bit set in fits.
+# in the order _ORDERS[draw] with its bit set in fits.  _MIDPOINT_FIRST
+# holds the draws of the two runs made with no generators.
 _ORDERS = list(permutations(range(3)))
 _FIRST_FIT = np.array([[next((c for c in o if f >> c & 1), 0) for o in _ORDERS] for f in range(8)])
-_MIDPOINT_FIRST = _ORDERS.index((1, 0, 2))
+_MIDPOINT_FIRST = np.array([[_ORDERS.index((1, 0, 2))], [_ORDERS.index((1, 2, 0))]])
 
 
 class DepthExceeded(RuntimeError):
@@ -274,12 +275,14 @@ def refine_fine_cells(
     """Bisect [lo, hi] into gauge-fine cells, streaming them to ``emit``.
 
     Candidate tags for a cell [u, v] are u, the midpoint, and v.  With no
-    generators there is one run, which tries them midpoint first, then u,
-    then v (the low-noise choice for integration).  Otherwise each
-    generator in ``rngs`` is one run that tries them in a random order of
-    its own, as it would bisecting alone; which cells are accepted never
-    depends on the order, so the runs share one bisection tree.  ``emit``
-    receives ``tags`` of shape (runs, len(us)).
+    generators there are two runs, both midpoint first (the low-noise
+    choice for integration): run 0 then tries u before v, run 1 v before
+    u, so their tags differ exactly on the cells that fit both endpoints
+    but not their midpoint.  Otherwise each generator in ``rngs`` is one
+    run that tries them in a random order of its own, as it would
+    bisecting alone.  Which cells are accepted never depends on the
+    order, so the runs share one bisection tree.  ``emit`` receives
+    ``tags`` of shape (runs, len(us)).
     Tags listed in ``undefined_tags`` are never emitted: a cell accepted
     through such a tag is emitted with the nearest defined endpoint
     instead (the gauge window test still uses the original candidate).
@@ -318,7 +321,7 @@ def refine_fine_cells(
         if rngs:
             draws = np.array([g.integers(0, orders, size=size) for g in rngs])
         else:
-            draws = np.full((1, size), _MIDPOINT_FIRST)
+            draws = np.broadcast_to(_MIDPOINT_FIRST, (2, size))
         got, left, right, stuck = [], [], [], []
         for b in range(0, size, _BLOCK):
             u, v, ru, lv = _take(pending[depth], min(_BLOCK, size - b))

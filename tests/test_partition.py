@@ -127,8 +127,9 @@ def test_chunk_emits_its_accepted_cells_before_a_stuck_cell_raises(block, monkey
         f"cell [{np.float64(1.0)!r}, {np.float64(1.0 + ULP1)!r}] cannot be split further "
         "and no candidate tag satisfies the gauge"
     )
+    # Both runs made with no generators tag each cell at u, its one fit.
     us = [1.0 + k * ULP1 for k in (4, 6, 5, 7)]
-    assert emitted == [([us], us, [u + ULP1 for u in us])]
+    assert emitted == [([us, us], us, [u + ULP1 for u in us])]
 
     def failing(tags, us, vs):
         raise EvaluatorDomainError("evaluator returned a non-finite value")
@@ -175,7 +176,7 @@ def test_a_wide_tree_holds_less_than_its_widest_level():
 
 def test_the_accepted_cells_do_not_depend_on_the_chunk():
     # Which cells are accepted depends on the gauge alone, and so do the
-    # midpoint-first tags of a run with no generators; the chunk only orders
+    # midpoint-first tags of the runs with no generators; the chunk only orders
     # the walk (level by level at 1 << 19, depth first at 64 and below).
     # The gauge is still asked each point of the tree once, and a budget
     # stop never lets more cells out than the budget.
@@ -192,7 +193,7 @@ def test_the_accepted_cells_do_not_depend_on_the_chunk():
             Gauge(counted, g.neg_ray, g.pos_ray),
             0.0,
             1.0,
-            emit=lambda tags, us, vs: out.extend(zip(tags[0].tolist(), us.tolist(), vs.tolist())),
+            emit=lambda tags, us, vs: out.extend(zip(*tags.tolist(), us.tolist(), vs.tolist())),
             chunk=chunk,
         )
         return sorted(out)
