@@ -2,10 +2,12 @@
 
 Each case binds an input family to an engine entry point and freezes
 the outcome it must reproduce, so regressions surface as plain
-pass/fail rows.  Provenance records where an expected value comes
-from: PAPER marks worked examples inherited from the motivating
-derivation, DERIVED marks values recomputed with an independent
-method, TRIVIAL marks one-line facts.
+pass/fail rows.  A case's helper builds both the inputs that `corpus
+list` shows and the runner from the same arguments.
+Provenance records where an expected value comes from: PAPER marks
+worked examples inherited from the motivating derivation, DERIVED
+marks values recomputed with an independent method, TRIVIAL marks
+one-line facts.
 """
 
 from __future__ import annotations
@@ -277,39 +279,82 @@ def _register(case: NamedCase) -> None:
     _REGISTRY[case.name] = case
 
 
-def _integral_case(
-    name: str,
-    kind: CaseKind,
-    text: str,
-    interval: ClosedInterval,
-    expected: Expected,
-    provenance: Provenance,
-    note: str,
-    cfg: IntegratorConfig,
-    integrand: Optional[Callable] = None,
-) -> None:
-    fn = integrand if integrand is not None else _fn(text, "x")
+def _interval_json(iv: ClosedInterval) -> list:
+    return [_json_float(iv.lo.as_float()), _json_float(iv.hi.as_float())]
+
+
+def _integral_case(name, kind, text, interval, expected, provenance, note, cfg) -> None:
+    fn = _fn(text, "x")
     engine = hk_integrate if kind is CaseKind.INTEGRATE else hake_improper
-    _register(
-        NamedCase(
-            name=name,
-            kind=kind,
-            inputs={
-                "expr": text,
-                "interval": [
-                    _json_float(interval.lo.as_float()),
-                    _json_float(interval.hi.as_float()),
-                ],
-                "tol": cfg.tol,
-                "singular": list(cfg.singular_points),
-            },
-            expected=expected,
-            provenance=provenance,
-            note=note,
-            base_cfg=cfg,
-            runner=lambda cfg_, fn=fn, iv=interval, eng=engine: eng(fn, iv, cfg_),
-        )
-    )
+    inputs = {
+        "expr": text,
+        "interval": _interval_json(interval),
+        "tol": cfg.tol,
+        "singular": list(cfg.singular_points),
+    }
+
+    def runner(cfg_: IntegratorConfig) -> IntegralResult:
+        return engine(fn, interval, cfg_)
+
+    _register(NamedCase(name, kind, inputs, expected, provenance, note, cfg, runner))
+
+
+def _add_case(name, kind, inputs, expected, provenance, note, cfg, runner) -> None:
+    """Register a case whose inputs end with cfg's singular points (when
+    there are any) and its tolerance."""
+    if cfg.singular_points:
+        inputs["singular"] = list(cfg.singular_points)
+    inputs["tol"] = cfg.tol
+    _register(NamedCase(name, kind, inputs, expected, provenance, note, cfg, runner))
+
+
+def _ftc_case(name, F, Fprime, interval, expected, provenance, note, cfg) -> None:
+    """F and Fprime are texts in x; Fprime=None leaves the derivative to
+    ftc_verify's central difference."""
+    grid = 9
+    inputs = {
+        "F": F,
+        "Fprime": Fprime or "synthesized central difference",
+        "interval": _interval_json(interval),
+        "grid": grid,
+    }
+
+    def runner(cfg_: IntegratorConfig) -> FtcReport:
+        fprime = _fn(Fprime, "x") if Fprime else None
+        return ftc_verify(_scalar_fn(F), fprime, interval, grid, cfg_)
+
+    _add_case(name, CaseKind.FTC, inputs, expected, provenance, note, cfg, runner)
+
+
+def _rectangle_case(
+    name, kind, check, exprs, rect, windows, expected, provenance, note, cfg
+) -> None:
+    """check is diff_under_integral or interchange_iterated; exprs maps
+    its integrands' names to their texts in x and y, in check's argument
+    order; windows=None leaves the windows to check."""
+    inputs = dict(exprs)
+    inputs["rect"] = [_interval_json(rect.x_interval), _interval_json(rect.y_interval)]
+    if windows is not None:
+        inputs["windows"] = [[w.s, w.t] for w in windows]
+
+    def runner(cfg_: IntegratorConfig) -> InterchangeReport:
+        fns = [_fn(text, "x", "y") for text in exprs.values()]
+        return check(*fns, rect, windows=windows, cfg=cfg_)
+
+    _add_case(name, kind, inputs, expected, provenance, note, cfg, runner)
+
+
+def _series_case(name, terms, term, interval, expected, provenance, note, cfg) -> None:
+    """term(n) is the n-th term as a function of x; the series and the
+    integral are compared on the whole interval."""
+    n_max = 64
+    inputs = {"terms": terms, "interval": _interval_json(interval), "n_max": n_max}
+
+    def runner(cfg_: IntegratorConfig) -> InterchangeReport:
+        whole = [Window(interval.lo.value, interval.hi.value)]
+        return interchange_sum_integral(term, interval, whole, n_max, cfg_)
+
+    _add_case(name, CaseKind.SERIES, inputs, expected, provenance, note, cfg, runner)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +441,20 @@ def _build_registry() -> None:
         IntegratorConfig(tol=1e-3, singular_points=(0.0,)),
     )
 
-    _register(
-        NamedCase(
-            name="dirichlet-gauge",
-            kind=CaseKind.INTEGRATE,
-            inputs={
-                "integrand": "indicator of the first 100000 rationals in [0, 1]",
-                "interval": [0.0, 1.0],
-                "gauge": "enumeration_gauge(eps=1e-06) over the same rationals",
-                "tol": 1e-6,
-            },
-            expected=Expected(value=0.0, tol=1e-6),
-            provenance=Provenance.DERIVED,
-            note="countable support carries no area once the gauge pinches"
-            " each enumerated point",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=_dirichlet_runner,
-        )
+    _add_case(
+        "dirichlet-gauge",
+        CaseKind.INTEGRATE,
+        {
+            "integrand": "indicator of the first 100000 rationals in [0, 1]",
+            "interval": [0.0, 1.0],
+            "gauge": "enumeration_gauge(eps=1e-06) over the same rationals",
+        },
+        Expected(value=0.0, tol=1e-6),
+        Provenance.DERIVED,
+        "countable support carries no area once the gauge pinches"
+        " each enumerated point",
+        IntegratorConfig(tol=1e-6),
+        _dirichlet_runner,
     )
 
     _integral_case(
@@ -463,205 +505,101 @@ def _build_registry() -> None:
             IntegratorConfig(tol=1e-4),
         )
 
-    _register(
-        NamedCase(
-            name="ftc-square",
-            kind=CaseKind.FTC,
-            inputs={
-                "F": "x^2",
-                "Fprime": "2*x",
-                "interval": [0.0, 1.0],
-                "grid": 9,
-                "tol": 1e-6,
-            },
-            expected=Expected(value=0.0, tol=1e-6),
-            provenance=Provenance.TRIVIAL,
-            note="smooth polynomial; residuals limited only by quadrature",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=lambda cfg: ftc_verify(
-                _scalar_fn("x^2"),
-                _fn("2*x", "x"),
-                ClosedInterval(0.0, 1.0),
-                cfg=cfg,
-            ),
-        )
+    _ftc_case(
+        "ftc-square",
+        "x^2",
+        "2*x",
+        ClosedInterval(0.0, 1.0),
+        Expected(value=0.0, tol=1e-6),
+        Provenance.TRIVIAL,
+        "smooth polynomial; residuals limited only by quadrature",
+        IntegratorConfig(tol=1e-6),
     )
 
-    _register(
-        NamedCase(
-            name="ftc-sine",
-            kind=CaseKind.FTC,
-            inputs={
-                "F": "sin(x)",
-                "Fprime": "synthesized central difference",
-                "interval": [0.0, 2.0],
-                "grid": 9,
-                "tol": 1e-6,
-            },
-            expected=Expected(value=0.0, tol=1e-5),
-            provenance=Provenance.TRIVIAL,
-            note="derivative left to the checker's own differencer",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=lambda cfg: ftc_verify(
-                _scalar_fn("sin(x)"),
-                None,
-                ClosedInterval(0.0, 2.0),
-                cfg=cfg,
-            ),
-        )
+    _ftc_case(
+        "ftc-sine",
+        "sin(x)",
+        None,
+        ClosedInterval(0.0, 2.0),
+        Expected(value=0.0, tol=1e-5),
+        Provenance.TRIVIAL,
+        "derivative left to the checker's own differencer",
+        IntegratorConfig(tol=1e-6),
     )
 
-    _register(
-        NamedCase(
-            name="ftc-abs",
-            kind=CaseKind.FTC,
-            inputs={
-                "F": "abs(x)",
-                "Fprime": "piecewise(x < 0 -> -1, 0 < x -> 1, else -> 0)",
-                "interval": [-1.0, 1.0],
-                "grid": 9,
-                "tol": 1e-6,
-            },
-            expected=Expected(value=0.0, tol=1e-6),
-            provenance=Provenance.TRIVIAL,
-            note="kink at 0; the sign function (0 at the kink) integrates"
-            " back to abs exactly, and a jump needs no gauge pinch",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=lambda cfg: ftc_verify(
-                _scalar_fn("abs(x)"),
-                _fn("piecewise(x < 0 -> -1, 0 < x -> 1, else -> 0)", "x"),
-                ClosedInterval(-1.0, 1.0),
-                cfg=cfg,
-            ),
-        )
+    _ftc_case(
+        "ftc-abs",
+        "abs(x)",
+        "piecewise(x < 0 -> -1, 0 < x -> 1, else -> 0)",
+        ClosedInterval(-1.0, 1.0),
+        Expected(value=0.0, tol=1e-6),
+        Provenance.TRIVIAL,
+        "kink at 0; the sign function (0 at the kink) integrates"
+        " back to abs exactly, and a jump needs no gauge pinch",
+        IntegratorConfig(tol=1e-6),
     )
 
-    _register(
-        NamedCase(
-            name="ftc-pathological",
-            kind=CaseKind.FTC,
-            inputs={
-                "F": "piecewise(x == 0 -> 0, else -> x^2*sin(x^-3))",
-                "Fprime": "piecewise(x == 0 -> 0,"
-                " else -> 2*x*sin(x^-3) - 3*x^-2*cos(x^-3))",
-                "interval": [0.0, 1.0],
-                "grid": 9,
-                "singular": [0.0],
-                "tol": 1e-3,
-            },
-            expected=Expected(value=0.0, tol=1e-3),
-            provenance=Provenance.PAPER,
-            note="differentiable everywhere yet the derivative is wildly"
-            " oscillatory near 0; gauge integration recovers F",
-            base_cfg=IntegratorConfig(tol=1e-3, singular_points=(0.0,)),
-            runner=lambda cfg: ftc_verify(
-                _scalar_fn("piecewise(x == 0 -> 0, else -> x^2*sin(x^-3))"),
-                _fn(
-                    "piecewise(x == 0 -> 0,"
-                    " else -> 2*x*sin(x^-3) - 3*x^-2*cos(x^-3))",
-                    "x",
-                ),
-                ClosedInterval(0.0, 1.0),
-                cfg=cfg,
-            ),
-        )
+    _ftc_case(
+        "ftc-pathological",
+        "piecewise(x == 0 -> 0, else -> x^2*sin(x^-3))",
+        "piecewise(x == 0 -> 0, else -> 2*x*sin(x^-3) - 3*x^-2*cos(x^-3))",
+        ClosedInterval(0.0, 1.0),
+        Expected(value=0.0, tol=1e-3),
+        Provenance.PAPER,
+        "differentiable everywhere yet the derivative is wildly"
+        " oscillatory near 0; gauge integration recovers F",
+        IntegratorConfig(tol=1e-3, singular_points=(0.0,)),
     )
 
-    _register(
-        NamedCase(
-            name="dui-smooth",
-            kind=CaseKind.DUI,
-            inputs={
-                "f": "x^2*y",
-                "f1": "2*x*y",
-                "rect": [[0.0, 1.0], [0.0, 1.0]],
-                "tol": 1e-6,
-            },
-            expected=Expected(verdict=InterchangeVerdict.HOLDS_ON_SAMPLES),
-            provenance=Provenance.TRIVIAL,
-            note="polynomial integrand; both sides equal (t^2 - s^2)/2",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=lambda cfg: diff_under_integral(
-                _fn("x^2*y", "x", "y"),
-                _fn("2*x*y", "x", "y"),
-                Rectangle(ClosedInterval(0.0, 1.0), ClosedInterval(0.0, 1.0)),
-                cfg=cfg,
-            ),
-        )
+    unit_square = Rectangle(ClosedInterval(0.0, 1.0), ClosedInterval(0.0, 1.0))
+    _rectangle_case(
+        "dui-smooth",
+        CaseKind.DUI,
+        diff_under_integral,
+        {"f": "x^2*y", "f1": "2*x*y"},
+        unit_square,
+        None,
+        Expected(verdict=InterchangeVerdict.HOLDS_ON_SAMPLES),
+        Provenance.TRIVIAL,
+        "polynomial integrand; both sides equal (t^2 - s^2)/2",
+        IntegratorConfig(tol=1e-6),
     )
 
-    _register(
-        NamedCase(
-            name="fubini-counterexample",
-            kind=CaseKind.ITERATED,
-            inputs={
-                "g": "(x^2 - y^2)/(x^2 + y^2)^2",
-                "rect": [[0.0, 1.0], [0.0, 1.0]],
-                "windows": [[0.0, 1.0]],
-                "singular": [0.0],
-                "tol": 1e-3,
-            },
-            expected=Expected(verdict=InterchangeVerdict.FAILS),
-            provenance=Provenance.DERIVED,
-            note="classic non-absolutely-integrable kernel: the two"
-            " iterated integrals are pi/4 and -pi/4",
-            base_cfg=IntegratorConfig(tol=1e-3, singular_points=(0.0,)),
-            runner=lambda cfg: interchange_iterated(
-                _fn("(x^2 - y^2)/(x^2 + y^2)^2", "x", "y"),
-                Rectangle(ClosedInterval(0.0, 1.0), ClosedInterval(0.0, 1.0)),
-                windows=[Window(0.0, 1.0)],
-                cfg=cfg,
-            ),
-        )
+    _rectangle_case(
+        "fubini-counterexample",
+        CaseKind.ITERATED,
+        interchange_iterated,
+        {"g": "(x^2 - y^2)/(x^2 + y^2)^2"},
+        unit_square,
+        [Window(0.0, 1.0)],
+        Expected(verdict=InterchangeVerdict.FAILS),
+        Provenance.DERIVED,
+        "classic non-absolutely-integrable kernel: the two"
+        " iterated integrals are pi/4 and -pi/4",
+        IntegratorConfig(tol=1e-3, singular_points=(0.0,)),
     )
 
-    _register(
-        NamedCase(
-            name="series-exponential",
-            kind=CaseKind.SERIES,
-            inputs={
-                "terms": "x^n / n!",
-                "interval": [0.0, 1.0],
-                "n_max": 64,
-                "tol": 1e-6,
-            },
-            expected=Expected(value=math.e - 2.0, tol=1e-6),
-            provenance=Provenance.DERIVED,
-            note="sum is e^x - 1; integral over [0, 1] is e - 2",
-            base_cfg=IntegratorConfig(tol=1e-6),
-            runner=lambda cfg: interchange_sum_integral(
-                _exp_series_term,
-                ClosedInterval(0.0, 1.0),
-                windows=[Window(0.0, 1.0)],
-                n_max=64,
-                cfg=cfg,
-            ),
-        )
+    _series_case(
+        "series-exponential",
+        "x^n / n!",
+        _exp_series_term,
+        ClosedInterval(0.0, 1.0),
+        Expected(value=math.e - 2.0, tol=1e-6),
+        Provenance.DERIVED,
+        "sum is e^x - 1; integral over [0, 1] is e - 2",
+        IntegratorConfig(tol=1e-6),
     )
 
-    _register(
-        NamedCase(
-            name="series-telescoping-failure",
-            kind=CaseKind.SERIES,
-            inputs={
-                "terms": "n x exp(-n x^2) - (n-1) x exp(-(n-1) x^2)",
-                "interval": [0.0, 1.0],
-                "n_max": 64,
-                "tol": 1e-3,
-            },
-            expected=Expected(verdict=InterchangeVerdict.FAILS),
-            provenance=Provenance.DERIVED,
-            note="partial sums N x exp(-N x^2) drop to 0 pointwise while"
-            " every partial-sum integral stays near 1/2",
-            base_cfg=IntegratorConfig(tol=1e-3),
-            runner=lambda cfg: interchange_sum_integral(
-                _bump_series_term,
-                ClosedInterval(0.0, 1.0),
-                windows=[Window(0.0, 1.0)],
-                n_max=64,
-                cfg=cfg,
-            ),
-        )
+    _series_case(
+        "series-telescoping-failure",
+        "n x exp(-n x^2) - (n-1) x exp(-(n-1) x^2)",
+        _bump_series_term,
+        ClosedInterval(0.0, 1.0),
+        Expected(verdict=InterchangeVerdict.FAILS),
+        Provenance.DERIVED,
+        "partial sums N x exp(-N x^2) drop to 0 pointwise while"
+        " every partial-sum integral stays near 1/2",
+        IntegratorConfig(tol=1e-3),
     )
 
 

@@ -91,6 +91,25 @@ def test_ftc_synthesized_derivative():
     assert rep.max_residual <= 1e-4
 
 
+def test_ftc_guard_secant_near_a_declared_kink():
+    # The synthesized derivative of |x|^1.5 takes tags inside the guard
+    # around 0, where its value is the secant of F across the guard:
+    # F(+-guard) and then F(0), with guard = 4 * 2 / (64 * 8) = 1/64 on
+    # the default 9-point grid.  No difference stencil makes that pair.
+    calls = []
+
+    def F(x):
+        calls.append(float(x))
+        return abs(float(x)) ** 1.5
+
+    cfg = IntegratorConfig(tol=1e-5, singular_points=(0.0,))
+    rep = ftc_verify(F, None, ClosedInterval(-1.0, 1.0), cfg=cfg)
+    assert rep.passed
+    assert rep.max_residual <= 1e-5
+    secants = sum(abs(u) == 1.0 / 64.0 and v == 0.0 for u, v in zip(calls, calls[1:]))
+    assert secants > 0
+
+
 def test_ftc_abs_with_sign_derivative():
     def sign(x):
         x = np.asarray(x, dtype=float)

@@ -138,9 +138,11 @@ def test_ftc_json_with_symbolic_derivative():
 
 
 def test_ftc_synthesizes_when_not_differentiable():
-    # abs has no symbolic derivative; numeric synthesis plus the kink
-    # guard must still verify the identity.  Negative positional args
-    # must not be mistaken for flags.
+    # abs has no symbolic derivative; the numeric synthesis must still
+    # verify the identity.  Its sums settle before any tag falls inside
+    # the guard around the declared kink, so the guard secant is not
+    # reached here (test_calculus.py reaches it with |x|^1.5).  Negative
+    # positional args must not be mistaken for flags.
     code, payload, _ = run_json("ftc", "abs(x)", "x", "-1", "1", "--singular", "0")
     assert code == 0
     assert payload["result"]["passed"] is True
@@ -153,6 +155,13 @@ def test_ftc_explicit_fprime():
     )
     assert code == 0
     assert payload["result"]["passed"] is True
+
+
+def test_interchange_json_holds():
+    code, payload, _ = run_json("interchange", "x*y", "x", "y", "0", "1", "0", "1")
+    assert code == 0
+    assert payload["command"] == "interchange"
+    assert payload["result"]["overall"] == "HOLDS_ON_SAMPLES"
 
 
 def test_dui_json_holds():
@@ -216,6 +225,9 @@ def test_partition_default_gauge_on_unbounded_targets():
         ("interchange", "x*y", "x", "y", "-inf", "1", "0", "1"),
         ("corpus", "run", "inv-sqrt", "--tol", "-1"),
         ("corpus", "run", "inv-sqrt", "--max-depth", "0"),
+        ("integrate", "x", "x", "0", "1", "--gauge", "singularity:0.5,0.1"),
+        ("integrate", "x", "x", "0", "1", "--gauge", "bogus:1"),
+        ("integrate", "x", "x", "0", "1", "--gauge", "uniform:1,2,3"),
     ],
 )
 def test_bad_arguments_are_one_line_usage_errors(argv):
@@ -278,6 +290,18 @@ def test_trace_flag_adds_trace():
 
 
 # -- seeding ---------------------------------------------------------------------
+
+def test_corpus_run_trace():
+    code, payload, _ = run_json("corpus", "run", "polynomial-smoke", "--trace")
+    assert code == 0
+    assert isinstance(payload["trace"], list) and payload["trace"]
+    assert all(isinstance(row, list) and len(row) == 2 for row in payload["trace"])
+    # An FTC report has no level trace; the text is the summary line alone.
+    code, out, _ = run_cli("corpus", "run", "ftc-square", "--trace")
+    assert code == 0
+    assert "max residual" in out
+    assert "level" not in out
+
 
 def test_seed_env_fallback_and_flag_override():
     _, a, _ = run_cli("partition", "0", "1", "--gauge", "uniform:0.25", "--json",

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -122,3 +124,27 @@ def test_case_inputs_match_documented_intervals():
     sinc = get_case("sinc-improper")
     assert sinc.inputs["interval"][1] == "inf"
     assert math.isinf(float("inf"))
+
+
+def test_case_list_json_is_pinned():
+    # Key order included: the list is what `corpus list --json` prints.
+    text = json.dumps([c.to_json_dict() for c in list_cases()])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "8371d5f9134b599880c85737c0998a2bf88161760558c0e82acfc2daf1842f2f"
+
+
+def test_case_inputs_state_the_config_they_run():
+    for case in list_cases():
+        assert case.inputs["tol"] == case.base_cfg.tol, case.name
+        assert case.inputs.get("singular", []) == list(case.base_cfg.singular_points), case.name
+
+
+def test_dui_smooth_checks_the_window_identity_for_f_itself():
+    notes = run_case("dui-smooth").actual["notes"]
+    m = re.search(
+        r"window identity for f itself: max \|int f1 dx - \(f\(t,y\)-f\(s,y\)\)\| = "
+        r"(\S+) over 7 sampled y",
+        notes,
+    )
+    assert m, notes
+    assert float(m.group(1)) <= 1e-12

@@ -71,6 +71,21 @@ def test_hk_is_deterministic():
     assert r1.evaluations == r2.evaluations
 
 
+def test_hk_cell_budget_stop_keeps_the_last_level():
+    # An interior |x|^-1/2 pinches the level-2 partition past the cell
+    # budget; the result is the last completed level, not a value.
+    res = hk_integrate(
+        lambda x: np.abs(x) ** -0.5,
+        ClosedInterval(-1.0, 1.0),
+        IntegratorConfig(singular_points=(0.0,)),
+    )
+    assert res.status is IntegralStatus.INCONCLUSIVE
+    assert res.message.startswith("stopped at refinement 2: partition would exceed")
+    assert "cells" in res.message
+    assert res.value == res.trace[-1][1]
+    assert res.evaluations > 0
+
+
 def test_hk_trace_records_levels():
     res = hk_integrate(quadratic, UNIT, IntegratorConfig(tol=1e-9))
     levels = [k for k, _ in res.trace]
