@@ -94,6 +94,23 @@ def _partial_sum_blocks(sums: np.ndarray, term, n: int, stop: int):
         n += block.shape[0] - 1
 
 
+def _settle(seq, gate, instant, cand, est, err, live, atol) -> None:
+    """Settle gated columns of ``seq`` on their Shanks limits, in place: one
+    with a clean gauge settles if ``instant`` or if its limit agrees with
+    the previous octave's in ``cand``, and its err adds that disagreement.
+    Clean limits become the next octave's candidates, the rest NaN."""
+    accel, gauge = shanks_columns(seq[:, gate])
+    gi = np.flatnonzero(gate)
+    lim = atol + atol * np.abs(accel)
+    good = gauge <= lim
+    drift = np.where(instant, 0.0, np.abs(accel - cand[gi]))
+    done = good & (drift <= lim)
+    est[gi[done]] = accel[done]
+    err[gi[done]] = (drift + gauge)[done]
+    live[gi[done]] = False
+    cand[gi] = np.where(good, accel, np.nan)
+
+
 def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     """Pointwise limit of the series sum_{n>=1} term_at(n, xs).
 
@@ -165,21 +182,10 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
             )
             gate = live & (hump | alt)
             if gate.any():
-                accel, gauge = shanks_columns(cp[:, gate])
-                good = gauge <= atol + atol * np.abs(accel)
-                gi = np.flatnonzero(gate)
                 # Contracting alternation brackets its limit, so a clean
                 # gauge is enough on the consecutive (stage-0) window;
                 # everything else needs agreement across two octaves.
-                instant = alt[gi] & (stage == 0)
-                agree = good & (
-                    instant | (np.abs(accel - cand[gi]) <= atol + atol * np.abs(accel))
-                )
-                done = gi[agree]
-                est[done] = accel[agree]
-                err[done] = np.where(instant, gauge, np.abs(accel - cand[gi]) + gauge)[agree]
-                live[done] = False
-                cand[gi] = np.where(good, accel, np.nan)
+                _settle(cp, gate, alt[gate] & (stage == 0), cand, est, err, live, atol)
             # Monotone tails with shrinking octave spans: the stage-end
             # anchors sit at powers of two, so a c*K^(-p) remainder is
             # geometric in the stage index and Shanks applies to them.
@@ -187,18 +193,7 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
                 mono = np.all(signs >= 0, axis=0) | np.all(signs <= 0, axis=0)
                 gate2 = live & mono & (span < prev_span)
                 if gate2.any():
-                    amat = np.array(anchors)
-                    accel2, gauge2 = shanks_columns(amat[:, gate2])
-                    good2 = gauge2 <= atol + atol * np.abs(accel2)
-                    gi2 = np.flatnonzero(gate2)
-                    agree2 = good2 & (
-                        np.abs(accel2 - anchor_cand[gi2]) <= atol + atol * np.abs(accel2)
-                    )
-                    done2 = gi2[agree2]
-                    est[done2] = accel2[agree2]
-                    err[done2] = (np.abs(accel2 - anchor_cand[gi2]) + gauge2)[agree2]
-                    live[done2] = False
-                    anchor_cand[gi2] = np.where(good2, accel2, np.nan)
+                    _settle(np.array(anchors), gate2, False, anchor_cand, est, err, live, atol)
         cand[live & ~gate] = np.nan
         prev_span = span
         if not live.any() or k >= n_cap:

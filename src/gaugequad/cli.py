@@ -29,7 +29,7 @@ from .calculus import (
     interchange_iterated,
     interchange_sum_integral,
 )
-from .corpus import UnknownCase, _json_float, _sanitize_json, list_cases, run_case
+from .corpus import UnknownCase, list_cases, run_case
 from .expr import (
     DomainError,
     NotDifferentiable,
@@ -41,7 +41,7 @@ from .expr import (
     to_text,
     variables,
 )
-from .extreal import ClosedInterval
+from .extreal import ClosedInterval, _sanitize_json
 from .gauge import (
     Gauge,
     enumeration_gauge,
@@ -266,16 +266,6 @@ def _integral_text(res: IntegralResult, trace: bool) -> str:
     return "\n".join(lines)
 
 
-def _result_dict(res: IntegralResult) -> dict:
-    return {
-        "value": res.value,
-        "error_estimate": res.error_estimate,
-        "status": res.status.value,
-        "evaluations": res.evaluations,
-        "message": res.message,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 
@@ -291,11 +281,11 @@ def _cmd_integral(args, engine_name: str) -> int:
         "inputs": {
             "expr": args.expr,
             "var": args.var,
-            "lo": _json_float(target.lo.as_float()),
-            "hi": _json_float(target.hi.as_float()),
+            "lo": target.lo.as_float(),
+            "hi": target.hi.as_float(),
             "options": _options_dict(cfg, args),
         },
-        "result": _result_dict(res),
+        "result": {**res.to_json_dict(), "message": res.message},
     }
     if args.trace:
         payload["trace"] = [[int(k), v] for k, v in res.trace]
@@ -343,8 +333,8 @@ def cmd_ftc(args) -> int:
             "fprime": fprime_text,
             "fprime_mode": mode,
             "var": args.var,
-            "lo": _json_float(target.lo.as_float()),
-            "hi": _json_float(target.hi.as_float()),
+            "lo": target.lo.as_float(),
+            "hi": target.hi.as_float(),
             "grid": args.grid,
             "options": _options_dict(cfg, args),
         },
@@ -373,7 +363,7 @@ def _report_exit(report) -> int:
 def _rect_inputs(args, rect: Rectangle, cfg: IntegratorConfig) -> dict:
     """The --json inputs of the commands that check a rectangle."""
     ends = (rect.x_interval.lo, rect.x_interval.hi, rect.y_interval.lo, rect.y_interval.hi)
-    inputs = {k: _json_float(e.as_float()) for k, e in zip(("x_lo", "x_hi", "y_lo", "y_hi"), ends)}
+    inputs = {k: e.as_float() for k, e in zip(("x_lo", "x_hi", "y_lo", "y_hi"), ends)}
     return {"x_var": args.x_var, "y_var": args.y_var, **inputs, "options": _options_dict(cfg, args)}
 
 
@@ -450,8 +440,8 @@ def cmd_series(args) -> int:
             "term": args.term,
             "x_var": args.x_var,
             "n_var": args.n_var,
-            "lo": _json_float(target.lo.as_float()),
-            "hi": _json_float(target.hi.as_float()),
+            "lo": target.lo.as_float(),
+            "hi": target.hi.as_float(),
             "n_max": args.n_max,
             "options": _options_dict(cfg, args),
         },
@@ -476,15 +466,12 @@ def cmd_partition(args) -> int:
     )
     violations = validate(part)
     fine = is_fine(part, gauge)
-    cells = [
-        {"tag": _json_float(t), "lo": _json_float(lo), "hi": _json_float(hi)}
-        for t, lo, hi in zip(part.tags.tolist(), part.lo.tolist(), part.hi.tolist())
-    ]
+    cells = part.to_records()
     payload = {
         "command": "partition",
         "inputs": {
-            "lo": _json_float(target.lo.as_float()),
-            "hi": _json_float(target.hi.as_float()),
+            "lo": target.lo.as_float(),
+            "hi": target.hi.as_float(),
             "options": _options_dict(cfg, args),
         },
         "result": {

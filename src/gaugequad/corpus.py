@@ -33,7 +33,7 @@ from .calculus import (
     interchange_sum_integral,
 )
 from .expr import compile_evaluator, parse
-from .extreal import ClosedInterval
+from .extreal import ClosedInterval, _json_float, _sanitize_json
 from .gauge import enumeration_gauge, rational_enumeration, uniform_gauge
 from .integrator import (
     IntegralResult,
@@ -189,17 +189,6 @@ def _actual_brief(actual: Mapping[str, object]) -> str:
     return f"overall {actual.get('overall')}"
 
 
-def _json_float(x: float) -> object:
-    # Strict JSON has no nan/inf literals; those states are legitimate
-    # outputs here (a diverged side reports nan), so encode as strings.
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _fn(text: str, *names: str) -> Callable:
     return compile_evaluator(parse(text), names)
 
@@ -216,12 +205,8 @@ def _scalar_fn(text: str) -> Callable[[float], float]:
 def _judge(case: NamedCase, outcome) -> tuple[dict, bool, object]:
     exp = case.expected
     if isinstance(outcome, IntegralResult):
-        actual = {
-            "value": _json_float(outcome.value),
-            "error_estimate": _json_float(outcome.error_estimate),
-            "status": outcome.status.value,
-            "evaluations": outcome.evaluations,
-        }
+        actual = _sanitize_json(outcome.to_json_dict())
+        actual.pop("message", None)
         if exp.status is not None:
             passed = outcome.status is exp.status
         else:
@@ -241,8 +226,7 @@ def _judge(case: NamedCase, outcome) -> tuple[dict, bool, object]:
         return actual, passed, outcome
 
     assert isinstance(outcome, InterchangeReport)
-    actual = outcome.to_json_dict()
-    actual = _sanitize_json(actual)
+    actual = _sanitize_json(outcome.to_json_dict())
     if exp.verdict is not None:
         passed = outcome.overall is exp.verdict
     else:
@@ -254,16 +238,6 @@ def _judge(case: NamedCase, outcome) -> tuple[dict, bool, object]:
             for w in outcome.windows
         )
     return actual, passed, outcome
-
-
-def _sanitize_json(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize_json(v) for v in obj]
-    if isinstance(obj, float):
-        return _json_float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +336,8 @@ def _series_case(name, terms, term, interval, expected, provenance, note, cfg) -
 
 
 _DIRICHLET_COUNT = 100_000
+_DIRICHLET_EPS = 1e-6
+_DIRICHLET_INTERVAL = ClosedInterval(0.0, 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -380,11 +356,9 @@ def _dirichlet_setup() -> tuple[np.ndarray, Callable]:
 def _dirichlet_runner(cfg: IntegratorConfig) -> IntegralResult:
     enum, indicator = _dirichlet_setup()
     gauge = enumeration_gauge(
-        enum, 1e-6, base=uniform_gauge(1.0 / 64.0), prefix=_DIRICHLET_COUNT
+        enum, _DIRICHLET_EPS, base=uniform_gauge(1.0 / 64.0), prefix=_DIRICHLET_COUNT
     )
-    return hk_integrate(
-        indicator, ClosedInterval(0.0, 1.0), cfg.with_(gauge_override=gauge)
-    )
+    return hk_integrate(indicator, _DIRICHLET_INTERVAL, cfg.with_(gauge_override=gauge))
 
 
 def _exp_series_term(n: int) -> Callable:
@@ -445,9 +419,9 @@ def _build_registry() -> None:
         "dirichlet-gauge",
         CaseKind.INTEGRATE,
         {
-            "integrand": "indicator of the first 100000 rationals in [0, 1]",
-            "interval": [0.0, 1.0],
-            "gauge": "enumeration_gauge(eps=1e-06) over the same rationals",
+            "integrand": f"indicator of the first {_DIRICHLET_COUNT} rationals in [0, 1]",
+            "interval": _interval_json(_DIRICHLET_INTERVAL),
+            "gauge": f"enumeration_gauge(eps={_DIRICHLET_EPS:g}) over the same rationals",
         },
         Expected(value=0.0, tol=1e-6),
         Provenance.DERIVED,

@@ -3,11 +3,12 @@
 Infinite endpoints are symbolic: membership tests against them are set
 logic, never float arithmetic.  Unbounded intervals carry length 0 by
 convention, which is what makes Riemann sums over the compactified line
-finite sums of finite terms.
+finite sums of finite terms.  JSON spells the ends "inf" and "-inf".
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Union
 
 __all__ = [
@@ -129,23 +130,21 @@ def ext(value: ExtRealLike) -> ExtReal:
     return value if isinstance(value, ExtReal) else ExtReal(value)
 
 
+@dataclass(frozen=True, slots=True)
 class ClosedInterval:
     """Nondegenerate closed interval [lo, hi] of the compactified line."""
 
-    __slots__ = ("lo", "hi")
+    lo: ExtReal
+    hi: ExtReal
 
-    def __init__(self, lo: ExtRealLike, hi: ExtRealLike):
-        lo = ext(lo)
-        hi = ext(hi)
+    def __post_init__(self):
+        lo, hi = ext(self.lo), ext(self.hi)
         if not lo < hi:
             raise DegenerateIntervalError(
                 f"closed interval needs lo < hi, got [{lo}, {hi}]"
             )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedInterval is immutable")
 
     @property
     def is_bounded(self) -> bool:
@@ -161,21 +160,11 @@ class ClosedInterval:
         x = ext(x)
         return self.lo <= x <= self.hi
 
-    def _key(self):
-        return (self.lo._key(), self.hi._key())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClosedInterval):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(("closed", self._key()))
-
     def __repr__(self) -> str:
         return f"ClosedInterval({self.lo}, {self.hi})"
 
 
+@dataclass(frozen=True, slots=True)
 class OpenInterval:
     """Open interval of the compactified line, optionally adjoining an end.
 
@@ -184,32 +173,25 @@ class OpenInterval:
     These are exactly the neighborhood shapes a gauge may assign.
     """
 
-    __slots__ = ("lo", "hi", "includes_neg_inf", "includes_pos_inf")
+    lo: ExtReal
+    hi: ExtReal
+    includes_neg_inf: bool = False
+    includes_pos_inf: bool = False
 
-    def __init__(
-        self,
-        lo: ExtRealLike,
-        hi: ExtRealLike,
-        includes_neg_inf: bool = False,
-        includes_pos_inf: bool = False,
-    ):
-        lo = ext(lo)
-        hi = ext(hi)
+    def __post_init__(self):
+        lo, hi = ext(self.lo), ext(self.hi)
         if not lo < hi:
             raise DegenerateIntervalError(
                 f"open interval needs lo < hi, got ({lo}, {hi})"
             )
-        if includes_neg_inf and lo != NEG_INF:
+        if self.includes_neg_inf and lo != NEG_INF:
             raise ValueError("interval can adjoin -inf only when lo is -inf")
-        if includes_pos_inf and hi != POS_INF:
+        if self.includes_pos_inf and hi != POS_INF:
             raise ValueError("interval can adjoin +inf only when hi is +inf")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "includes_neg_inf", bool(includes_neg_inf))
-        object.__setattr__(self, "includes_pos_inf", bool(includes_pos_inf))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OpenInterval is immutable")
+        object.__setattr__(self, "includes_neg_inf", bool(self.includes_neg_inf))
+        object.__setattr__(self, "includes_pos_inf", bool(self.includes_pos_inf))
 
     @classmethod
     def ray_below(cls, hi: ExtRealLike) -> "OpenInterval":
@@ -238,22 +220,6 @@ class OpenInterval:
         """
         return self.lo.as_float(), self.hi.as_float()
 
-    def _key(self):
-        return (
-            self.lo._key(),
-            self.hi._key(),
-            self.includes_neg_inf,
-            self.includes_pos_inf,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpenInterval):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(("open", self._key()))
-
     def __repr__(self) -> str:
         left = "[" if self.includes_neg_inf else "("
         right = "]" if self.includes_pos_inf else ")"
@@ -266,3 +232,24 @@ def closed_subset_of_open(c: ClosedInterval, o: OpenInterval) -> bool:
     Intervals are convex, so endpoint membership decides containment.
     """
     return o.contains(c.lo) and o.contains(c.hi)
+
+
+def _json_float(x: float) -> object:
+    # Strict JSON has no nan/inf literals; those states are legitimate
+    # outputs here (a diverged side reports nan), so encode as strings.
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def _sanitize_json(obj):
+    if isinstance(obj, dict):
+        return {k: _sanitize_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize_json(v) for v in obj]
+    if isinstance(obj, float):
+        return _json_float(obj)
+    return obj

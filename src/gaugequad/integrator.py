@@ -505,6 +505,7 @@ def _exhaust_side(
     frm: float,
     to: Optional[float],
     cfg: IntegratorConfig,
+    mirrored: bool = False,
 ) -> IntegralResult:
     """Limit of int_frm^c as the cutoff c runs toward the improper end.
 
@@ -517,8 +518,8 @@ def _exhaust_side(
     raw-limit monitor ``_divergence``; accelerated values only ever
     decide convergence.
 
-    ``cfg`` is taken in the side's own coordinates: for a left-side run
-    the caller reflects singular points and any gauge override.
+    ``cfg`` is taken in the side's own coordinates: a left-side caller
+    reflects singular points and any gauge override and sets ``mirrored``.
 
     Rungs that would hold more sign-change lobes than the cap are pulled
     in so every slab stays fully resolvable; when the per-rung lobe
@@ -544,6 +545,10 @@ def _exhaust_side(
     def result(value, err, status, message=""):
         return IntegralResult(value, err, status, evals, list(enumerate(anchors)), message)
 
+    def span(a, b):  # [a, b] in the caller's coordinates; + 0.0 turns -0.0 into 0.0
+        lo, hi = (-b, -a) if mirrored else (a, b)
+        return f"[{float(lo) + 0.0!r}, {float(hi) + 0.0!r}]"
+
     for j in range(cfg.max_refinements + 1):
         if to is None:
             if j == 0:
@@ -568,7 +573,7 @@ def _exhaust_side(
             if sub.status is not IntegralStatus.CONVERGED:
                 diverged = sub.status is IntegralStatus.DIVERGED
                 how = "diverged" if diverged else "did not settle within budget"
-                piece = f"the piece over [{rung_lo!r}, {c!r}] {how}"
+                piece = f"the piece over {span(rung_lo, c)} {how}"
                 return result(total, math.inf, sub.status, piece)
             total += sub.value
             boundary_sums.append(total)
@@ -611,7 +616,7 @@ def _exhaust_side(
                     total,
                     math.inf,
                     IntegralStatus.INCONCLUSIVE,
-                    f"ran out of resolvable rungs at [{rung_lo!r}, {c!r}] "
+                    f"ran out of resolvable rungs at {span(rung_lo, c)} "
                     f"(unresolved residue {resid:.2e})",
                 )
             rough += resid
@@ -752,6 +757,7 @@ def hake_improper(
                 -anchor,
                 -lo.value if lo.is_finite else None,
                 cfg_left,
+                mirrored=True,
             )
         )
     value = sum(s.value for s in sides)

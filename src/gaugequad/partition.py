@@ -28,6 +28,7 @@ from .extreal import (
     POS_INF,
     ClosedInterval,
     ExtReal,
+    _json_float,
     ext,
 )
 from .gauge import Gauge
@@ -136,12 +137,9 @@ class TaggedPartition:
 
     def to_records(self) -> list[dict]:
         """JSON-ready view: list of {tag, lo, hi} with string infinities."""
-
-        def num(x: float):
-            return x if math.isfinite(x) else ("+inf" if x > 0 else "-inf")
-
         return [
-            {"tag": num(t), "lo": num(lo), "hi": num(hi)} for t, lo, hi in self._rows()
+            {"tag": _json_float(t), "lo": _json_float(lo), "hi": _json_float(hi)}
+            for t, lo, hi in self._rows()
         ]
 
     def __repr__(self) -> str:

@@ -359,6 +359,31 @@ def test_series_pointwise_rows_of_a_step_term(monkeypatch):
         assert row.integral_value == 4.0
 
 
+def test_series_divergent_term_integral_is_inconclusive():
+    # int_0^1 dx / (x - 0.5)^2 diverges, so the series of integrals stops
+    # at its first term.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = interchange_sum_integral(
+            [lambda x: 1.0 / (x - 0.5) ** 2], UNIT, windows=[Window(0.0, 1.0)], n_max=2
+        )
+    assert rep.overall is InterchangeVerdict.INCONCLUSIVE
+    assert rep.windows[0].verdict is InterchangeVerdict.INCONCLUSIVE
+    assert rep.windows[0].detail == "term integral DIVERGED at n=1"
+
+
+def test_series_of_integrals_still_moving_is_inconclusive():
+    # The alternating harmonic tail still moves by ~1/64 between T(32)
+    # and T(64), so the window is rejected as unstable.
+    rep = interchange_sum_integral(
+        lambda n: (lambda x: (-1.0) ** n / n + 0.0 * x), UNIT, windows=[Window(0.0, 1.0)], n_max=64
+    )
+    assert rep.overall is InterchangeVerdict.INCONCLUSIVE
+    w = rep.windows[0]
+    assert w.verdict is InterchangeVerdict.INCONCLUSIVE
+    assert w.detail == "series of integrals still moving: |T(64)-T(32)| = 7.630e-03"
+    assert "1 window(s) rejected as unstable" in rep.hypothesis_notes
+
+
 def test_iterated_unresolved_inner_integral_is_inconclusive(monkeypatch):
     # int_0^1 dy / y never settles, so every outer tag of the left side
     # sees an unresolved inner integral.

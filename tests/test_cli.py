@@ -157,6 +157,18 @@ def test_ftc_explicit_fprime():
     assert payload["result"]["passed"] is True
 
 
+def test_ftc_divergent_segment_exits_inconclusive():
+    # The first segment holds the pole at 0.3; the later ones are never run.
+    code, payload, _ = run_json(
+        "ftc", "x", "x", "0", "1", "--fprime", "1/(x-0.3)^2", "--grid", "4"
+    )
+    assert code == 3
+    result = payload["result"]
+    assert result["statuses"] == ["CONVERGED", "DIVERGED", "INCONCLUSIVE", "INCONCLUSIVE"]
+    assert result["max_residual"] == "inf"
+    assert result["passed"] is False
+
+
 def test_interchange_json_holds():
     code, payload, _ = run_json("interchange", "x*y", "x", "y", "0", "1", "0", "1")
     assert code == 0
@@ -194,6 +206,17 @@ def test_partition_json_infinite_target():
     )
     assert code == 0
     assert payload["result"]["cells"][-1]["hi"] == "inf"
+
+
+def test_partition_json_cells_are_the_partitions_records():
+    from gaugequad import ClosedInterval, cousin_fine_partition, uniform_gauge
+
+    code, payload, _ = run_json("partition", "0", "inf", "--gauge", "uniform:0.5,8", "--seed", "0")
+    assert code == 0
+    part = cousin_fine_partition(uniform_gauge(0.5, 8.0), ClosedInterval(0.0, math.inf))
+    records = part.to_records()
+    assert payload["result"]["cells"] == records
+    assert records[-1]["tag"] == records[-1]["hi"] == "inf"
 
 
 def test_partition_default_gauge():

@@ -312,6 +312,43 @@ def test_every_diverged_exit_is_pinned(name):
     assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == digest
 
 
+# Exits of the exhaustion loop that no other test reaches.  A left side
+# runs in u = -x, and its messages must still name the caller's piece.
+INCONCLUSIVE, DIVERGED = IntegralStatus.INCONCLUSIVE, IntegralStatus.DIVERGED
+EXHAUSTION_EXITS = {
+    "cutoff-budget": (
+        "1/x", 1.0, math.inf, IntegratorConfig(max_refinements=3), INCONCLUSIVE,
+        "cutoff budget exhausted before the tolerance was met",
+    ),
+    "piece-diverged": (
+        "1/(x+0.3)^2", -1.0, 0.0, IntegratorConfig(singular_points=(0.0,)), DIVERGED,
+        "the piece over [-0.5, -0.25] diverged",
+    ),
+    "left-piece-budget": (
+        "abs(x-0.3)^-0.5", 0.0, 1.0,
+        IntegratorConfig(singular_points=(0.0,), max_refinements=4), INCONCLUSIVE,
+        "the piece over [0.5, 1.0] did not settle within budget",
+    ),
+    "left-rung-residue": (
+        "abs(x+1.5)^-0.5", -math.inf, 0.0, IntegratorConfig(), INCONCLUSIVE,
+        "ran out of resolvable rungs at [-2.0, -1.0] (unresolved residue 9.79e-04)",
+    ),
+    "negative-zero-end": (
+        "abs(x-0.5)^-0.5", -0.0, math.inf, IntegratorConfig(), INCONCLUSIVE,
+        "ran out of resolvable rungs at [0.0, 1.0] (unresolved residue 9.79e-04)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTION_EXITS))
+def test_exhaustion_exit_messages_name_the_callers_piece(name):
+    text, lo, hi, cfg, status, message = EXHAUSTION_EXITS[name]
+    f = compile_evaluator(parse(text), ("x",))
+    r = hake_improper(f, ClosedInterval(lo, hi), cfg)
+    assert r.status is status
+    assert r.message == message
+
+
 # -- oscillatory convergent family ---------------------------------------------
 
 def test_closed_form_matches_independent_quadrature():
