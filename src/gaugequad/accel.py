@@ -111,6 +111,7 @@ def _settle(seq, gate, instant, cand, est, err, live, atol) -> None:
     cand[gi] = np.where(good, accel, np.nan)
 
 
+@np.errstate(all="ignore")
 def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     """Pointwise limit of the series sum_{n>=1} term_at(n, xs).
 
@@ -129,6 +130,7 @@ def series_limit(term_at, xs, tol: float, n_cap: int = 1 << 20):
     the octave's start; the sums are formed a block of terms at a time
     with exactly the additions of summing term by term.
     Returns (est, err, resolved); unresolved columns carry err = inf.
+    Non-finite terms raise no numpy warnings.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     m = xs.size

@@ -160,8 +160,7 @@ class InterchangeReport:
                     w.verdict.value,
                 )
             )
-        widths = [max(len(r[k]) for r in rows) for k in range(6)]
-        lines = ["  ".join(c.rjust(widths[k]) for k, c in enumerate(r)) for r in rows]
+        lines = _aligned(rows)
         if self.pointwise:
             lines.append("")
             prows = [("x", "F'(x)", "integral", "gap")]
@@ -174,12 +173,17 @@ class InterchangeReport:
                         f"{p.gap:.3e}",
                     )
                 )
-            pw = [max(len(r[k]) for r in prows) for k in range(4)]
-            lines += ["  ".join(c.rjust(pw[k]) for k, c in enumerate(r)) for r in prows]
+            lines += _aligned(prows)
         lines.append("")
         lines.append(f"overall: {self.overall.value}")
         lines.append(f"notes: {self.hypothesis_notes}")
         return "\n".join(lines)
+
+
+def _aligned(rows: list[tuple[str, ...]]) -> list[str]:
+    """Right-justify each column of ``rows`` to its widest cell, two spaces apart."""
+    widths = [max(len(c) for c in col) for col in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
 
 
 @dataclass(frozen=True)

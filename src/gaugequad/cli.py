@@ -51,7 +51,6 @@ from .gauge import (
     uniform_gauge,
 )
 from .integrator import (
-    IntegralResult,
     IntegralStatus,
     IntegratorConfig,
     _schedule_params,
@@ -223,8 +222,10 @@ def _config_from(args) -> IntegratorConfig:
     return IntegratorConfig(**_overrides(args))
 
 
-def _options_dict(cfg: IntegratorConfig, args) -> dict:
-    return {
+def _payload(args, cfg: IntegratorConfig, inputs: dict, result: dict) -> dict:
+    """The --json document of ``args.command`` run under ``cfg``: its inputs
+    carry the options in force."""
+    options = {
         "tol": cfg.tol,
         "max_refinements": cfg.max_refinements,
         "max_depth": cfg.max_depth,
@@ -232,6 +233,11 @@ def _options_dict(cfg: IntegratorConfig, args) -> dict:
         "singular": list(cfg.singular_points),
         "gauge": args.gauge,
     }
+    return {"command": args.command, "inputs": {**inputs, "options": options}, "result": result}
+
+
+def _ends(iv: ClosedInterval, prefix: str = "") -> dict:
+    return {f"{prefix}lo": iv.lo.as_float(), f"{prefix}hi": iv.hi.as_float()}
 
 
 def _compiled(text: str, names: tuple[str, ...]) -> Callable:
@@ -245,13 +251,46 @@ def _compiled(text: str, names: tuple[str, ...]) -> Callable:
     return compile_evaluator(ast, names)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _derivative(supplied: Optional[str], text: str, names: tuple[str, ...], synthesize: bool):
+    """(evaluator, text, mode) of the derivative of ``text`` in ``names[0]``:
+    the ``supplied`` expression, else the symbolic derivative.  Where there
+    is none, ``synthesize`` returns (None, None, "synthesized") for the
+    engine to build one; otherwise NotDifferentiable propagates."""
+    if supplied is not None:
+        return _compiled(supplied, names), supplied, "supplied"
+    try:
+        d = differentiate(parse(text), names[0])
+    except NotDifferentiable:
+        if not synthesize:
+            raise
+        return None, None, "synthesized"
+    return compile_evaluator(d, names), to_text(d), "symbolic"
+
+
+def _emit(args, payload: dict, text: str, trace=None, head: tuple[str, ...] = ()) -> None:
+    """Print ``text``, or ``payload`` as JSON under --json.  Under --trace a
+    (level, value) ``trace`` is added to both, its text rows after ``head``."""
+    if args.trace and trace is not None:
+        payload["trace"] = [[int(k), v] for k, v in trace]
+        text += "\n" + "\n".join([*head, *(f"  level {k}: {v!r}" for k, v in trace)])
     if args.json:
         text = json.dumps(_sanitize_json(payload), sort_keys=True, indent=2, allow_nan=False)
     print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
 
-def _integral_text(res: IntegralResult, trace: bool) -> str:
+# ---------------------------------------------------------------------------
+# Command handlers
+
+
+def cmd_integral(args) -> int:
+    """``integrate`` and ``improper``: the same inputs and output, two engines."""
+    cfg = _config_from(args)
+    fn = _compiled(args.expr, (args.var,))
+    target = _interval(args.lo, args.hi)
+    engine = integrate_auto if args.command == "integrate" else hake_improper
+    res = engine(fn, target, cfg)
+    inputs = {"expr": args.expr, "var": args.var, **_ends(target)}
+    result = {**res.to_json_dict(), "message": res.message}
     lines = [
         f"value            {res.value!r}",
         f"error estimate   {res.error_estimate:.6g}",
@@ -260,45 +299,8 @@ def _integral_text(res: IntegralResult, trace: bool) -> str:
     ]
     if res.message:
         lines.append(f"note             {res.message}")
-    if trace:
-        lines.append("trace:")
-        lines.extend(f"  level {k}: {v!r}" for k, v in res.trace)
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Command handlers
-
-
-def _cmd_integral(args, engine_name: str) -> int:
-    cfg = _config_from(args)
-    fn = _compiled(args.expr, (args.var,))
-    target = _interval(args.lo, args.hi)
-    engine = integrate_auto if engine_name == "integrate" else hake_improper
-    res = engine(fn, target, cfg)
-    payload = {
-        "command": engine_name,
-        "inputs": {
-            "expr": args.expr,
-            "var": args.var,
-            "lo": target.lo.as_float(),
-            "hi": target.hi.as_float(),
-            "options": _options_dict(cfg, args),
-        },
-        "result": {**res.to_json_dict(), "message": res.message},
-    }
-    if args.trace:
-        payload["trace"] = [[int(k), v] for k, v in res.trace]
-    _emit(args, payload, _integral_text(res, args.trace))
+    _emit(args, _payload(args, cfg, inputs, result), "\n".join(lines), res.trace, head=("trace:",))
     return _STATUS_EXIT[res.status]
-
-
-def cmd_integrate(args) -> int:
-    return _cmd_integral(args, "integrate")
-
-
-def cmd_improper(args) -> int:
-    return _cmd_integral(args, "improper")
 
 
 def cmd_ftc(args) -> int:
@@ -309,36 +311,16 @@ def cmd_ftc(args) -> int:
         raise _UsageError("ftc needs a bounded interval")
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2 (the two endpoints)")
-    fprime = None
-    fprime_text = None
-    mode = "synthesized"
-    if args.fprime is not None:
-        fprime = _compiled(args.fprime, (args.var,))
-        fprime_text = args.fprime
-        mode = "supplied"
-    else:
-        try:
-            d = differentiate(parse(args.expr), args.var)
-            fprime_text = to_text(d)
-            fprime = compile_evaluator(d, (args.var,))
-            mode = "symbolic"
-        except NotDifferentiable:
-            pass
+    fprime, fprime_text, mode = _derivative(args.fprime, args.expr, (args.var,), synthesize=True)
     scalar_F = lambda x: float(F(np.asarray(x, dtype=float)))
     report = ftc_verify(scalar_F, fprime, target, grid_size=args.grid, cfg=cfg)
-    payload = {
-        "command": "ftc",
-        "inputs": {
-            "F": args.expr,
-            "fprime": fprime_text,
-            "fprime_mode": mode,
-            "var": args.var,
-            "lo": target.lo.as_float(),
-            "hi": target.hi.as_float(),
-            "grid": args.grid,
-            "options": _options_dict(cfg, args),
-        },
-        "result": report.to_json_dict(),
+    inputs = {
+        "F": args.expr,
+        "fprime": fprime_text,
+        "fprime_mode": mode,
+        "var": args.var,
+        **_ends(target),
+        "grid": args.grid,
     }
     rows = [f"derivative       {mode}" + (f" ({fprime_text})" if fprime_text else "")]
     rows.append(f"{'x':>14s} {'residual':>12s} status")
@@ -348,7 +330,7 @@ def cmd_ftc(args) -> int:
     rows.append("PASS" if report.passed else "FAIL")
     if report.message:
         rows.append(f"note             {report.message}")
-    _emit(args, payload, "\n".join(rows))
+    _emit(args, _payload(args, cfg, inputs, report.to_json_dict()), "\n".join(rows))
     if report.passed:
         return EXIT_OK
     if any(s is not IntegralStatus.CONVERGED for s in report.statuses):
@@ -356,18 +338,14 @@ def cmd_ftc(args) -> int:
     return EXIT_FAIL
 
 
-def _report_exit(report) -> int:
+def _emit_report(args, cfg: IntegratorConfig, inputs: dict, report) -> int:
+    """Print an interchange report and return its verdict's exit code."""
+    _emit(args, _payload(args, cfg, inputs, report.to_json_dict()), report.to_text_table())
     return _VERDICT_EXIT[report.overall.value]
 
 
-def _rect_inputs(args, rect: Rectangle, cfg: IntegratorConfig) -> dict:
-    """The --json inputs of the commands that check a rectangle."""
-    ends = (rect.x_interval.lo, rect.x_interval.hi, rect.y_interval.lo, rect.y_interval.hi)
-    inputs = {k: e.as_float() for k, e in zip(("x_lo", "x_hi", "y_lo", "y_hi"), ends)}
-    return {"x_var": args.x_var, "y_var": args.y_var, **inputs, "options": _options_dict(cfg, args)}
-
-
-def _rectangle(args) -> Rectangle:
+def _rectangle(args) -> tuple[Rectangle, dict]:
+    """The rectangle of the commands that check one, with its --json inputs."""
     rect = Rectangle(
         _interval(args.x_lo, args.x_hi), _interval(args.y_lo, args.y_hi)
     )
@@ -376,49 +354,26 @@ def _rectangle(args) -> Rectangle:
             f"the {args.x_var} interval must be bounded: the checks run on "
             "windows [s, t] inside it"
         )
-    return rect
+    ends = {**_ends(rect.x_interval, "x_"), **_ends(rect.y_interval, "y_")}
+    return rect, {"x_var": args.x_var, "y_var": args.y_var, **ends}
 
 
 def cmd_dui(args) -> int:
     cfg = _config_from(args)
-    f = _compiled(args.f, (args.x_var, args.y_var))
-    if args.f1 is not None:
-        f1 = _compiled(args.f1, (args.x_var, args.y_var))
-        f1_text = args.f1
-    else:
-        d = differentiate(parse(args.f), args.x_var)
-        f1_text = to_text(d)
-        f1 = compile_evaluator(d, (args.x_var, args.y_var))
-    rect = _rectangle(args)
+    names = (args.x_var, args.y_var)
+    f = _compiled(args.f, names)
+    f1, f1_text, _ = _derivative(args.f1, args.f, names, synthesize=False)
+    rect, inputs = _rectangle(args)
     report = diff_under_integral(f, f1, rect, cfg=cfg)
-    payload = {
-        "command": "dui",
-        "inputs": {
-            "f": args.f,
-            "f1": f1_text,
-            **_rect_inputs(args, rect, cfg),
-        },
-        "result": report.to_json_dict(),
-    }
-    _emit(args, payload, report.to_text_table())
-    return _report_exit(report)
+    return _emit_report(args, cfg, {"f": args.f, "f1": f1_text, **inputs}, report)
 
 
 def cmd_interchange(args) -> int:
     cfg = _config_from(args)
     g = _compiled(args.g, (args.x_var, args.y_var))
-    rect = _rectangle(args)
+    rect, inputs = _rectangle(args)
     report = interchange_iterated(g, rect, cfg=cfg)
-    payload = {
-        "command": "interchange",
-        "inputs": {
-            "g": args.g,
-            **_rect_inputs(args, rect, cfg),
-        },
-        "result": report.to_json_dict(),
-    }
-    _emit(args, payload, report.to_text_table())
-    return _report_exit(report)
+    return _emit_report(args, cfg, {"g": args.g, **inputs}, report)
 
 
 def cmd_series(args) -> int:
@@ -434,21 +389,14 @@ def cmd_series(args) -> int:
         return lambda xv: ev(np.asarray(xv, dtype=float), np.float64(n))
 
     report = interchange_sum_integral(term_at, target, n_max=args.n_max, cfg=cfg)
-    payload = {
-        "command": "series",
-        "inputs": {
-            "term": args.term,
-            "x_var": args.x_var,
-            "n_var": args.n_var,
-            "lo": target.lo.as_float(),
-            "hi": target.hi.as_float(),
-            "n_max": args.n_max,
-            "options": _options_dict(cfg, args),
-        },
-        "result": report.to_json_dict(),
+    inputs = {
+        "term": args.term,
+        "x_var": args.x_var,
+        "n_var": args.n_var,
+        **_ends(target),
+        "n_max": args.n_max,
     }
-    _emit(args, payload, report.to_text_table())
-    return _report_exit(report)
+    return _emit_report(args, cfg, inputs, report)
 
 
 def cmd_partition(args) -> int:
@@ -467,19 +415,11 @@ def cmd_partition(args) -> int:
     violations = validate(part)
     fine = is_fine(part, gauge)
     cells = part.to_records()
-    payload = {
-        "command": "partition",
-        "inputs": {
-            "lo": target.lo.as_float(),
-            "hi": target.hi.as_float(),
-            "options": _options_dict(cfg, args),
-        },
-        "result": {
-            "cells": cells,
-            "count": len(cells),
-            "violations": violations,
-            "fine": fine,
-        },
+    result = {
+        "cells": cells,
+        "count": len(cells),
+        "violations": violations,
+        "fine": fine,
     }
     rows = [f"{'cell':>28s}   tag"]
     rows.extend(
@@ -488,7 +428,7 @@ def cmd_partition(args) -> int:
     rows.append(f"cells            {len(cells)}")
     rows.append(f"violations       {violations if violations else 'none'}")
     rows.append(f"fine             {fine}")
-    _emit(args, payload, "\n".join(rows))
+    _emit(args, _payload(args, cfg, _ends(target), result), "\n".join(rows))
     return EXIT_OK if not violations and fine else EXIT_FAIL
 
 
@@ -510,32 +450,51 @@ def cmd_corpus_list(args) -> int:
 def cmd_corpus_run(args) -> int:
     report = run_case(args.name, **_overrides(args))
     payload = {"command": "corpus-run", "report": report.to_json_dict()}
-    if args.trace and isinstance(report.trace, list):
-        payload["trace"] = [[int(k), v] for k, v in report.trace]
-    text = report.summary_line()
-    if args.trace and isinstance(report.trace, list):
-        text += "\n" + "\n".join(f"  level {k}: {v!r}" for k, v in report.trace)
-    _emit(args, payload, text)
+    trace = report.trace if isinstance(report.trace, list) else None
+    _emit(args, payload, report.summary_line(), trace)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly
 
+_INTEGRAL_ARGS = ("expr", "var", "lo", "hi")
+_RECT_ARGS = ("x_var", "y_var", "x_lo", "x_hi", "y_lo", "y_hi")
+
+# name -> (handler, help, positionals, extra flags), in --help order.
+_COMMANDS = {
+    "integrate": (cmd_integral, "integrate an expression", _INTEGRAL_ARGS, {}),
+    "improper": (cmd_integral, "integrate via cutoff exhaustion", _INTEGRAL_ARGS, {}),
+    "ftc": (cmd_ftc, "check int_a^x F' = F(x) - F(a) on a grid", _INTEGRAL_ARGS, {
+        "--fprime": {"help": "derivative expression (optional)"},
+        "--grid": {"type": int, "default": 9},
+    }),
+    "dui": (cmd_dui, "check differentiation under the integral", ("f", *_RECT_ARGS), {
+        "--f1": {"help": "partial derivative of f (optional)"},
+    }),
+    "interchange": (cmd_interchange, "compare the two iterated integrals", ("g", *_RECT_ARGS), {}),
+    "series": (
+        cmd_series, "compare sum-then-integrate vs integrate-then-sum",
+        ("term", "x_var", "n_var", "lo", "hi"), {"--n-max": {"type": int, "default": 64}},
+    ),
+    "partition": (cmd_partition, "emit one fine partition", ("lo", "hi"), {}),
+}
+
+_POSITIONAL_HELP = {
+    ("ftc", "expr"): "the antiderivative F",
+    ("series", "term"): "term expression in the x and n variables",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="target tolerance")
-    common.add_argument("--max-refinements", type=int, default=None)
-    common.add_argument("--max-depth", type=int, default=None)
+    common.add_argument("--tol", type=float, help="target tolerance")
+    common.add_argument("--max-refinements", type=int)
+    common.add_argument("--max-depth", type=int)
+    common.add_argument("--seed", type=int, help="RNG seed (default GAUGEQUAD_SEED or 0)")
+    common.add_argument("--gauge", metavar="NAME:PARAMS", help=_parse_gauge.__doc__)
     common.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (default GAUGEQUAD_SEED or 0)"
-    )
-    common.add_argument(
-        "--gauge", default=None, metavar="NAME:PARAMS", help=_parse_gauge.__doc__
-    )
-    common.add_argument(
-        "--singular", default=None, metavar="P1,P2",
+        "--singular", metavar="P1,P2",
         help="known singular points; only those in the target pinch the gauge",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -546,74 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gauge (Henstock-Kurzweil) integration and interchange checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("integrate", parents=[common], help="integrate an expression")
-    p.add_argument("expr")
-    p.add_argument("var")
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.set_defaults(handler=cmd_integrate)
-
-    p = sub.add_parser(
-        "improper", parents=[common], help="integrate via cutoff exhaustion"
-    )
-    p.add_argument("expr")
-    p.add_argument("var")
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.set_defaults(handler=cmd_improper)
-
-    p = sub.add_parser(
-        "ftc", parents=[common], help="check int_a^x F' = F(x) - F(a) on a grid"
-    )
-    p.add_argument("expr", help="the antiderivative F")
-    p.add_argument("var")
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.add_argument("--fprime", default=None, help="derivative expression (optional)")
-    p.add_argument("--grid", type=int, default=9)
-    p.set_defaults(handler=cmd_ftc)
-
-    p = sub.add_parser(
-        "dui", parents=[common], help="check differentiation under the integral"
-    )
-    p.add_argument("f")
-    p.add_argument("x_var")
-    p.add_argument("y_var")
-    p.add_argument("x_lo")
-    p.add_argument("x_hi")
-    p.add_argument("y_lo")
-    p.add_argument("y_hi")
-    p.add_argument("--f1", default=None, help="partial derivative of f (optional)")
-    p.set_defaults(handler=cmd_dui)
-
-    p = sub.add_parser(
-        "interchange", parents=[common], help="compare the two iterated integrals"
-    )
-    p.add_argument("g")
-    p.add_argument("x_var")
-    p.add_argument("y_var")
-    p.add_argument("x_lo")
-    p.add_argument("x_hi")
-    p.add_argument("y_lo")
-    p.add_argument("y_hi")
-    p.set_defaults(handler=cmd_interchange)
-
-    p = sub.add_parser(
-        "series", parents=[common], help="compare sum-then-integrate vs integrate-then-sum"
-    )
-    p.add_argument("term", help="term expression in the x and n variables")
-    p.add_argument("x_var")
-    p.add_argument("n_var")
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.add_argument("--n-max", type=int, default=64)
-    p.set_defaults(handler=cmd_series)
-
-    p = sub.add_parser("partition", parents=[common], help="emit one fine partition")
-    p.add_argument("lo")
-    p.add_argument("hi")
-    p.set_defaults(handler=cmd_partition)
+    for name, (handler, help_text, positionals, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for dest in positionals:
+            p.add_argument(dest, help=_POSITIONAL_HELP.get((name, dest)))
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
 
     # Common flags live on the leaf parsers only: a subparser's defaults
     # would overwrite values its parent already parsed.

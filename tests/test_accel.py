@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,3 +298,13 @@ def test_series_limit_term_calls_keep_order_and_fresh_arrays(name):
     assert _hex(series_limit(recording, xs, tol, n_cap)) == FROZEN[name]
     assert [tuple(r) for r in runs] == FROZEN_CALLS[name]
     assert len({id(a) for a in seen}) == len(seen)
+
+
+def test_series_limit_non_finite_terms_raise_no_warnings():
+    # The inf column makes inf - inf in the checkpoint spans and the Aitken
+    # sweeps; none of it may reach the caller as a warning.
+    term = lambda n, x: np.where(x == 0.5, np.inf, 1.0 / n**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = series_limit(term, np.array([0.25, 0.5, 0.75]), 1e-6, n_cap=1024)
+    assert _hex(out) == (("0x0.0p+0",) * 3, ("inf",) * 3, (False,) * 3)

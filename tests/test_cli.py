@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from gaugequad.cli import load_output_schema, main
+from gaugequad.cli import build_parser, load_output_schema, main
 
 SCHEMA = load_output_schema()
 
@@ -312,6 +315,16 @@ def test_trace_flag_adds_trace():
     assert "trace" not in no_trace
 
 
+def test_readme_examples_run_with_json():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                if line.startswith("    gaugequad ")]
+    assert len(commands) == 10
+    for argv in commands:
+        code, payload, err = run_json(*argv)
+        assert code == 0, argv
+        assert err == "", argv
+
 # -- seeding ---------------------------------------------------------------------
 
 def test_corpus_run_trace():
@@ -370,3 +383,80 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+# -- parser -------------------------------------------------------------------------
+
+_GAUGE_HELP = (
+    "NAME:params gauge constructors for --gauge.\n\n"
+    "    uniform:DELTA[,TAIL]          constant windows, tail cutoff\n"
+    "    singularity:DELTA,SHARPNESS   uniform base pinched at --singular points\n"
+    "    enumeration:EPS[,COUNT]       shrinking windows along the first COUNT\n"
+    "                                  rationals of [0, 1] (default 100000)\n"
+    "    "
+)
+
+_COMMON_ACTIONS = [
+    ("help", ("-h", "--help"), None, "==SUPPRESS==", False, "show this help message and exit"),
+    ("tol", ("--tol",), "float", None, False, "target tolerance"),
+    ("max_refinements", ("--max-refinements",), "int", None, False, None),
+    ("max_depth", ("--max-depth",), "int", None, False, None),
+    ("seed", ("--seed",), "int", None, False, "RNG seed (default GAUGEQUAD_SEED or 0)"),
+    ("gauge", ("--gauge",), None, None, False, _GAUGE_HELP),
+    ("singular", ("--singular",), None, None, False,
+     "known singular points; only those in the target pinch the gauge"),
+    ("json", ("--json",), None, False, False, "machine-readable output"),
+    ("trace", ("--trace",), None, False, False, "include refinement trace"),
+]
+
+
+def _positionals(*names):
+    return [(n, (), None, None, True, None) for n in names]
+
+
+# (dest, option_strings, type, default, required, help) of every argparse
+# action, per leaf subcommand, in parser order.
+FROZEN_PARSER = {
+    ("integrate",): _COMMON_ACTIONS + _positionals("expr", "var", "lo", "hi"),
+    ("improper",): _COMMON_ACTIONS + _positionals("expr", "var", "lo", "hi"),
+    ("ftc",): _COMMON_ACTIONS
+    + [("expr", (), None, None, True, "the antiderivative F")]
+    + _positionals("var", "lo", "hi")
+    + [
+        ("fprime", ("--fprime",), None, None, False, "derivative expression (optional)"),
+        ("grid", ("--grid",), "int", 9, False, None),
+    ],
+    ("dui",): _COMMON_ACTIONS
+    + _positionals("f", "x_var", "y_var", "x_lo", "x_hi", "y_lo", "y_hi")
+    + [("f1", ("--f1",), None, None, False, "partial derivative of f (optional)")],
+    ("interchange",): _COMMON_ACTIONS
+    + _positionals("g", "x_var", "y_var", "x_lo", "x_hi", "y_lo", "y_hi"),
+    ("series",): _COMMON_ACTIONS
+    + [("term", (), None, None, True, "term expression in the x and n variables")]
+    + _positionals("x_var", "n_var", "lo", "hi")
+    + [("n_max", ("--n-max",), "int", 64, False, None)],
+    ("partition",): _COMMON_ACTIONS + _positionals("lo", "hi"),
+    ("corpus", "list"): _COMMON_ACTIONS,
+    ("corpus", "run"): _COMMON_ACTIONS + _positionals("name"),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_parser_actions_are_frozen():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert list(leaves) == list(FROZEN_PARSER)
+    for path, parser in leaves.items():
+        actions = [
+            (a.dest, tuple(a.option_strings), a.type.__name__ if a.type else None,
+             a.default, a.required, a.help)
+            for a in parser._actions
+        ]
+        assert actions == FROZEN_PARSER[path], path
